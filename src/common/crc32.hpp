@@ -1,4 +1,4 @@
-// CRC-32 (IEEE 802.3 polynomial), table-driven.
+// CRC-32 (IEEE 802.3 polynomial), table-driven slice-by-8.
 //
 // The Amoeba protocol "automatically recovers from lost, garbled, and
 // duplicate messages" (§2.1). Garble detection in this reproduction is a

@@ -63,6 +63,9 @@ std::uint32_t broadcast_group_be() { return htonl(kBroadcastGroupHost); }
 
 void set_nonblock(int fd) { ::fcntl(fd, F_SETFL, O_NONBLOCK); }
 
+/// The runtime whose loop() runs on this thread, if any.
+thread_local const UdpRuntime* t_loop_owner = nullptr;
+
 }  // namespace
 
 Status UdpOptions::normalize() {
@@ -327,6 +330,9 @@ void UdpRuntime::stop() {
 }
 
 void UdpRuntime::wake() {
+  // The loop thread re-checks tasks_, timers_ and tx_queue_ before its next
+  // poll (see the lock protocol in the header), so its own wakes are free.
+  if (t_loop_owner == this) return;
   // Suppressor: while a wake is in flight (written but not yet drained by
   // the loop), further wakes are free. The loop clears the flag after
   // draining the fd and BEFORE re-checking the queues, so a post that
@@ -348,9 +354,9 @@ void UdpRuntime::wake() {
 
 void UdpRuntime::drain_wake_fd() {
   if (wake_is_eventfd_) {
-    std::uint64_t v;
-    while (::read(wake_rd_, &v, sizeof(v)) > 0) {
-    }
+    // A non-semaphore eventfd resets to zero on the first read.
+    std::uint64_t v = 0;
+    [[maybe_unused]] const auto n = ::read(wake_rd_, &v, sizeof(v));
   } else {
     char drain[64];
     while (::read(wake_rd_, drain, sizeof(drain)) > 0) {
@@ -731,6 +737,7 @@ void UdpRuntime::rx_shard_loop(unsigned shard) {
 }
 
 void UdpRuntime::loop() {
+  t_loop_owner = this;
   // Receive ring (single-socket path): pooled slots refilled as datagrams
   // are consumed. The handler keeps a view of the datagram; the slot's
   // backing returns to the pool when the last view drops.

@@ -58,6 +58,13 @@
 //     suppressor: back-to-back posts cost one syscall, not one each
 //     (`wakes_suppressed`), and wake-ups that find no work are counted
 //     (`wake_spurious`).
+//   - The loop thread never wakes itself. Every post/set_timer/enqueue_tx
+//     it makes runs inside the locked dispatch block or the rx dispatch,
+//     and after either the loop returns to the top, where it drains
+//     tasks_, recomputes the poll timeout from timers_ and swaps tx_queue_
+//     before it can poll again. wake() therefore returns at once on the
+//     loop thread; only other threads (blocking callers, RX shard threads,
+//     stop()) write the wake fd.
 //
 // I/O batching: outbound frames queue (as views — no copies) and are
 // flushed with one sendmmsg (or one io_uring submit) per batch, so a

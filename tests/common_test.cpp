@@ -216,6 +216,31 @@ TEST(Crc32, DetectsSingleBitFlip) {
   EXPECT_NE(crc32(b), before);
 }
 
+TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  constexpr std::size_t kMaxLen = 2100;
+  constexpr std::size_t kMaxOffset = 7;
+  Buffer buf(kMaxLen + kMaxOffset);
+  Rng rng(32);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  // Every start offset exercises an unaligned word load, and every length
+  // exercises each 0-7 byte tail after the 8-byte steps. The reference is
+  // the textbook one-bit-at-a-time CRC-32/IEEE, streamed one byte further
+  // per length.
+  for (std::size_t off = 0; off <= kMaxOffset; ++off) {
+    std::uint32_t ref = 0xFFFFFFFFU;
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      const std::span<const std::uint8_t> s(buf.data() + off, len);
+      ASSERT_EQ(crc32(s), ref ^ 0xFFFFFFFFU)
+          << "offset " << off << " length " << len;
+      if (len == kMaxLen) break;
+      ref ^= buf[off + len];
+      for (int k = 0; k < 8; ++k) {
+        ref = (ref & 1U) ? 0xEDB88320U ^ (ref >> 1) : ref >> 1;
+      }
+    }
+  }
+}
+
 TEST(TimeTypes, Arithmetic) {
   const Time t{1'000'000};
   const Duration d = Duration::micros(500);

@@ -2,6 +2,7 @@
 // reassembly, loss tolerance, multicast semantics.
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "flip/packet.hpp"
 #include "flip/stack.hpp"
 #include "sim/world.hpp"
@@ -54,6 +55,28 @@ TEST(FlipPacket, RejectsFragmentBeyondTotal) {
   h.total_len = 10;
   h.frag_offset = 8;
   EXPECT_FALSE(decode_packet(encode_packet(h, make_pattern_buffer(16))));
+}
+
+TEST(FlipPacket, GoldenFrameCrcIsPinned) {
+  // A full-size multicast fragment with fixed header fields and seeded
+  // payload bytes. The trailer constant was recorded with the byte-wise
+  // CRC loop (and matches zlib's crc32 of the same 1438 bytes); any CRC
+  // rewrite must keep FLIP frames, and the durable-log records that share
+  // crc32, byte-identical, so old logs still replay.
+  PacketHeader h;
+  h.type = PacketType::multidata;
+  h.dst = group_address(7);
+  h.src = process_address(3);
+  h.msg_id = 0x1234;
+  h.total_len = 4000;
+  h.frag_offset = 1398;
+  Buffer frag(1398);
+  Rng rng(2024);
+  for (auto& b : frag) b = static_cast<std::uint8_t>(rng.next());
+  const BufView enc = encode_packet(h, frag);
+  ASSERT_EQ(enc.size(), kEncodedHeaderBytes + frag.size() + 4);
+  EXPECT_EQ(load_le32(enc.data() + enc.size() - 4), 0xF6D64B22u);
+  EXPECT_TRUE(decode_packet(enc).has_value());
 }
 
 TEST(Address, KindsAndHash) {

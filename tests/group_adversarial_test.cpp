@@ -2,6 +2,9 @@
 // cross products, and cost-model sanity.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "group/sim_harness.hpp"
 
 namespace amoeba::group {
@@ -86,16 +89,19 @@ TEST(GroupAdversarial, LazarusSequencerCannotCorruptTheNewIncarnation) {
 
 struct MethodResilience {
   Method method;
+  // gtest prints the parameter's raw bytes into the test name, so the
+  // padding after `method` is spelled out and zeroed to keep names stable.
+  std::array<std::uint8_t, 3> pad{};
   std::uint32_t r;
 };
+static_assert(sizeof(MethodResilience) == 8, "no implicit padding left");
 
 class RecoveryMatrix : public ::testing::TestWithParam<MethodResilience> {};
 
 TEST_P(RecoveryMatrix, CrashAndRebuildUnderEveryMethod) {
-  const auto [method, r] = GetParam();
   GroupConfig cfg = fast_cfg();
-  cfg.method = method;
-  cfg.resilience = r;
+  cfg.method = GetParam().method;
+  cfg.resilience = GetParam().r;
   SimGroupHarness h(5, cfg);
   ASSERT_TRUE(h.form_group());
 
@@ -146,12 +152,12 @@ TEST_P(RecoveryMatrix, CrashAndRebuildUnderEveryMethod) {
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, RecoveryMatrix,
-    ::testing::Values(MethodResilience{Method::pb, 0},
-                      MethodResilience{Method::bb, 0},
-                      MethodResilience{Method::dynamic, 0},
-                      MethodResilience{Method::pb, 2},
-                      MethodResilience{Method::bb, 2},
-                      MethodResilience{Method::dynamic, 2}),
+    ::testing::Values(MethodResilience{.method = Method::pb, .r = 0},
+                      MethodResilience{.method = Method::bb, .r = 0},
+                      MethodResilience{.method = Method::dynamic, .r = 0},
+                      MethodResilience{.method = Method::pb, .r = 2},
+                      MethodResilience{.method = Method::bb, .r = 2},
+                      MethodResilience{.method = Method::dynamic, .r = 2}),
     [](const ::testing::TestParamInfo<MethodResilience>& param_info) {
       const char* name = param_info.param.method == Method::pb   ? "pb"
                          : param_info.param.method == Method::bb ? "bb"

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -118,6 +119,70 @@ TEST(UdpWake, WakeupsAreCountedAndSuppressed) {
   // 64 posts under one lock hold: the loop can't drain between them, so
   // the pending-flag suppressor must have eaten most of the writes.
   EXPECT_GE(rt.io_stats().wakes_suppressed.load(), 1u);
+  rt.stop();
+}
+
+TEST(UdpWake, LoopThreadWorkNeedsNoWakeups) {
+  // Tasks and timers scheduled from the loop thread are picked up when the
+  // loop returns to the top of its pass, so they must neither write the
+  // wake fd nor wait out the idle poll timeout (1 s).
+  UdpRuntime rt(std::uint16_t{0});
+  rt.set_station_table(0, {{"127.0.0.1", rt.local_port()}});
+  rt.start();
+  // Park the loop in poll, so that the kick below is drained (and the
+  // pending-wake flag cleared) before the chain starts.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  constexpr int kChain = 1000;
+  using Clock = std::chrono::steady_clock;
+  std::atomic<int> ran{0};
+  std::atomic<bool> done{false};
+  std::uint64_t wakes_at_start = 0;
+  Clock::time_point timer_set;
+  Clock::time_point timer_fired;
+  std::function<void(int)> step = [&](int i) {
+    if (i == 0) {
+      // The user-thread post below woke the loop; count from here.
+      wakes_at_start = rt.io_stats().wakeups.load();
+      timer_set = Clock::now();
+      rt.set_timer(Duration::millis(2), [&] {
+        timer_fired = Clock::now();
+        // A post after the loop has been through poll again.
+        rt.post(Duration::zero(), [&] { done.store(true); });
+      });
+    }
+    ran.fetch_add(1);
+    if (i + 1 < kChain) {
+      rt.post(Duration::zero(), [&step, i] { step(i + 1); });
+    }
+  };
+  {
+    std::lock_guard lock(rt.mutex());
+    rt.post(Duration::zero(), [&step] { step(0); });
+  }
+  ASSERT_TRUE(eventually([&] { return ran.load() == kChain && done.load(); }));
+  {
+    std::lock_guard lock(rt.mutex());
+    EXPECT_LT(timer_fired - timer_set, std::chrono::milliseconds(50));
+    EXPECT_EQ(rt.io_stats().wakeups.load(), wakes_at_start);
+  }
+  rt.stop();
+}
+
+TEST(UdpWake, UserThreadPostWakesAnIdleLoop) {
+  UdpRuntime rt(std::uint16_t{0});
+  rt.set_station_table(0, {{"127.0.0.1", rt.local_port()}});
+  rt.start();
+  // Let the loop park in poll with its idle (1 s) timeout.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  using Clock = std::chrono::steady_clock;
+  std::atomic<bool> ran{false};
+  const auto posted = Clock::now();
+  {
+    std::lock_guard lock(rt.mutex());
+    rt.post(Duration::zero(), [&] { ran.store(true); });
+  }
+  ASSERT_TRUE(eventually([&] { return ran.load(); }));
+  EXPECT_LT(Clock::now() - posted, std::chrono::milliseconds(100));
   rt.stop();
 }
 
