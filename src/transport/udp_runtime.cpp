@@ -7,6 +7,7 @@
 
 #include <arpa/inet.h>
 #include <fcntl.h>
+#include <linux/sock_diag.h>
 #include <net/if.h>
 #include <netinet/in.h>
 #include <poll.h>
@@ -62,6 +63,42 @@ constexpr std::uint32_t kBroadcastGroupHost = 0xEFC0FFFFu;  // 239.192.255.255
 std::uint32_t broadcast_group_be() { return htonl(kBroadcastGroupHost); }
 
 void set_nonblock(int fd) { ::fcntl(fd, F_SETFL, O_NONBLOCK); }
+
+/// Receive buffer every runtime socket asks for. The kernel default
+/// (net.core.rmem_default, 212992 B) held only 92 datagrams of 1100 B when
+/// an unread loopback socket was filled on a 4-vCPU Linux 6.x host: fewer
+/// than the history_size = 128 messages a member may fall behind before the
+/// sequencer throttles anyone, so a burst overflowed the socket and every
+/// lost datagram cost a NACK and a retransmission. 4 MiB, which Linux
+/// accounts as 8 MiB, held 3640 such datagrams: a full window of 6-fragment
+/// 8 KiB BB messages (768 datagrams) with room to spare.
+constexpr int kRxBufferBytes = 4 << 20;
+
+int rcvbuf_of(int fd) {
+  int bytes = 0;
+  socklen_t len = sizeof(bytes);
+  if (::getsockopt(fd, SOL_SOCKET, SO_RCVBUF, &bytes, &len) != 0) return 0;
+  return bytes;
+}
+
+/// Raise `fd`'s receive buffer to kRxBufferBytes; a larger default is left
+/// alone. Plain SO_RCVBUF (not SO_RCVBUFFORCE), so the administrator's
+/// net.core.rmem_max cap holds; the first capped socket logs a warning.
+void size_rx_buffer(int fd) {
+  if (rcvbuf_of(fd) >= kRxBufferBytes) return;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &kRxBufferBytes,
+               sizeof(kRxBufferBytes));
+  // Linux doubles the request for bookkeeping, so a full grant reads back
+  // as 2 * kRxBufferBytes.
+  const int granted = rcvbuf_of(fd);
+  static std::atomic<bool> warned{false};
+  if (granted < 2 * kRxBufferBytes && !warned.exchange(true)) {
+    log_warn("udp",
+             "SO_RCVBUF capped at %d B; raise net.core.rmem_max to %d or "
+             "bursts will overflow the receive sockets",
+             granted, kRxBufferBytes);
+  }
+}
 
 /// The runtime whose loop() runs on this thread, if any.
 thread_local const UdpRuntime* t_loop_owner = nullptr;
@@ -136,6 +173,7 @@ void UdpRuntime::init(const UdpOptions& options) {
     if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
       fail("bind() failed");
     }
+    size_rx_buffer(fd);
     if (i == 0) {
       socklen_t len = sizeof(addr);
       ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
@@ -231,6 +269,7 @@ void UdpRuntime::setup_multicast() {
     return fallback("SO_REUSEADDR failed");
   }
   ::setsockopt(mcast_fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
+  size_rx_buffer(mcast_fd_);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_ANY);
@@ -283,6 +322,25 @@ UdpRuntime::~UdpRuntime() {
 
 bool UdpRuntime::io_uring_available() {
   return UringEngine::runtime_supported();
+}
+
+std::uint64_t UdpRuntime::kernel_rx_drops() const {
+  std::uint64_t drops = 0;
+  auto add = [&drops](int fd) {
+    std::uint32_t mem[SK_MEMINFO_VARS] = {};
+    socklen_t len = sizeof(mem);
+    if (::getsockopt(fd, SOL_SOCKET, SO_MEMINFO, mem, &len) == 0 &&
+        len > SK_MEMINFO_DROPS * sizeof(mem[0])) {
+      drops += mem[SK_MEMINFO_DROPS];
+    }
+  };
+  for (int fd : shard_fds_) add(fd);
+  if (mcast_fd_ >= 0) add(mcast_fd_);
+  return drops;
+}
+
+std::size_t UdpRuntime::rx_buffer_bytes() const {
+  return static_cast<std::size_t>(rcvbuf_of(fd_));
 }
 
 void UdpRuntime::set_station_table(

@@ -58,6 +58,9 @@
 //     suppressor: back-to-back posts cost one syscall, not one each
 //     (`wakes_suppressed`), and wake-ups that find no work are counted
 //     (`wake_spurious`).
+//   - Every receive socket (each shard, the mcast socket) gets a 4 MiB
+//     SO_RCVBUF, capped by net.core.rmem_max, so a full 128-message history
+//     window of datagrams fits in the kernel while the loop is busy.
 //   - The loop thread never wakes itself. Every post/set_timer/enqueue_tx
 //     it makes runs inside the locked dispatch block or the rx dispatch,
 //     and after either the loop returns to the top, where it drains
@@ -219,6 +222,14 @@ class UdpRuntime final : public Executor, public Device {
 
   /// Transport-level fault/recovery observability.
   const UdpIoStats& io_stats() const { return io_stats_; }
+  /// Datagrams the kernel dropped at this runtime's receive sockets (every
+  /// shard plus the mcast socket) because their buffers were full: the sum
+  /// of SO_MEMINFO's SK_MEMINFO_DROPS, i.e. /proc/net/udp's `drops` column.
+  /// Read from the kernel on each call; safe from any thread.
+  std::uint64_t kernel_rx_drops() const;
+  /// Effective SO_RCVBUF of the data socket as the kernel reports it (Linux
+  /// reports twice the size requested). Safe from any thread.
+  std::size_t rx_buffer_bytes() const;
 
   // --- Executor -----------------------------------------------------------
   Time now() const override;

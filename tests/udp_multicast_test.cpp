@@ -604,8 +604,12 @@ TEST(UdpMultiSocket, ShardedReceiverTakesConcurrentSenders) {
   }
   for (auto& t : threads) t.join();
   ASSERT_TRUE(eventually(
-      [&] { return got.load() == static_cast<int>(kSenders) * kPer; }));
+      [&] { return got.load() == static_cast<int>(kSenders) * kPer; }))
+      << "got " << got.load() << "; kernel_rx_drops "
+      << receiver.kernel_rx_drops() << ", rx_ring_drops "
+      << receiver.io_stats().rx_ring_drops.load();
   EXPECT_EQ(receiver.io_stats().rx_ring_drops.load(), 0u);
+  EXPECT_EQ(receiver.kernel_rx_drops(), 0u);
   for (auto& s : senders) s->stop();
   receiver.stop();
 }

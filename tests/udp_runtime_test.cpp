@@ -1,7 +1,12 @@
 // Real-socket integration tests: the same protocol bytes over UDP on
 // loopback, with the blocking Table-1 API and application threads.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstring>
 #include <memory>
 #include <thread>
 
@@ -309,6 +314,72 @@ TEST(UdpRpc, CallOverLoopback) {
   EXPECT_EQ(*got, (Buffer{2, 3, 4}));
   client_rt.stop();
   server_rt.stop();
+}
+
+/// SO_RCVBUF a fresh UDP socket reads back after asking for 4 MiB: what
+/// net.core.rmem_max lets any socket on this host have.
+std::size_t host_rx_buffer_cap() {
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
+  int bytes = 4 << 20;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes));
+  socklen_t len = sizeof(bytes);
+  ::getsockopt(fd, SOL_SOCKET, SO_RCVBUF, &bytes, &len);
+  ::close(fd);
+  return static_cast<std::size_t>(bytes);
+}
+
+template <typename Pred>
+bool eventually(const Pred& pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return pred();
+}
+
+TEST(UdpRxBuffer, BurstSentBeforeTheLoopRunsIsNotDropped) {
+  // 512 datagrams of 1 KiB reach a receiver whose loop is not running
+  // yet, as they would a member busy in a long dispatch. The kernel
+  // default buffer (212992 B) holds about 92 of them; a 4 MiB buffer holds
+  // every one, and the whole burst is delivered once the loop starts.
+  const std::size_t cap = host_rx_buffer_cap();
+  if (cap < (2u << 20)) {
+    GTEST_SKIP() << "this host caps SO_RCVBUF at " << cap
+                 << " B; raise it with sysctl -w net.core.rmem_max=4194304";
+  }
+  transport::UdpRuntime receiver(0), sender(0);
+  EXPECT_GE(receiver.rx_buffer_bytes(), cap);
+  std::vector<std::pair<std::string, std::uint16_t>> table = {
+      {"127.0.0.1", receiver.local_port()},
+      {"127.0.0.1", sender.local_port()},
+  };
+  receiver.set_station_table(0, table);
+  sender.set_station_table(1, table);
+  std::atomic<int> got{0};
+  receiver.set_receive_handler(
+      [&](transport::StationId, BufView) { got.fetch_add(1); });
+  sender.start();
+
+  constexpr int kFrames = 512;
+  constexpr std::size_t kBytes = 1024;
+  for (int k = 0; k < kFrames; ++k) {
+    SharedBuffer b = SharedBuffer::allocate(kBytes);
+    std::memset(b.data(), k & 0xFF, kBytes);
+    std::lock_guard lock(sender.mutex());
+    sender.send_unicast(0, BufView(std::move(b)), kBytes);
+  }
+  ASSERT_TRUE(eventually([&] {
+    return sender.io_stats().tx_datagrams.load() ==
+           static_cast<std::uint64_t>(kFrames);
+  }));
+  receiver.start();
+  EXPECT_TRUE(eventually([&] { return got.load() == kFrames; }))
+      << "delivered " << got.load() << " of " << kFrames;
+  EXPECT_EQ(receiver.kernel_rx_drops(), 0u);
+  sender.stop();
+  receiver.stop();
 }
 
 }  // namespace
