@@ -222,7 +222,9 @@ void GroupMember::leave_group(StatusCb done) {
                            (static_cast<std::uint64_t>(my_id_) << 8) ^
                                0x6C656176ULL);
     };
-    *retry = [this, retry, attempts, delay] {
+    // The armed timer owns the retry and the retry sees itself weakly, so
+    // it is freed once no timer holds it rather than keeping itself alive.
+    *retry = [this, self = std::weak_ptr(retry), attempts, delay] {
       if (!leaving_ || state_ != State::running || i_am_sequencer()) return;
       ++*attempts;
       WireMsg m2;
@@ -230,9 +232,11 @@ void GroupMember::leave_group(StatusCb done) {
       m2.sender = my_id_;
       m2.piggyback = next_deliver_;
       send_to_sequencer(std::move(m2));
-      join_timer_ = exec_.set_timer(delay(), *retry);
+      if (auto r = self.lock()) {
+        join_timer_ = exec_.set_timer(delay(), [r] { (*r)(); });
+      }
     };
-    join_timer_ = exec_.set_timer(delay(), *retry);
+    join_timer_ = exec_.set_timer(delay(), [retry] { (*retry)(); });
   }
 }
 

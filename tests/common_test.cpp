@@ -2,6 +2,9 @@
 // arithmetic, RNG determinism, statistics, CRC.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string_view>
+
 #include "common/buffer.hpp"
 #include "common/crc32.hpp"
 #include "common/ring_buffer.hpp"
@@ -238,6 +241,52 @@ TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
         ref = (ref & 1U) ? 0xEDB88320U ^ (ref >> 1) : ref >> 1;
       }
     }
+  }
+}
+
+TEST(Crc32, EveryKernelMatchesBitwiseReference) {
+  // Lengths 0-2100 give every 0-15 byte tail after the 16-byte folds,
+  // every 0-63 byte remainder after the 64-byte folds, and every input too
+  // short to fold. 4095-65599 are durable-log record and checkpoint sizes.
+  // Start offsets 0-15 put each 16-byte load at every alignment.
+  constexpr std::size_t kDenseLen = 2100;
+  constexpr std::array<std::size_t, 5> kLongLens = {4095, 4096, 8000, 65536,
+                                                    65599};
+  constexpr std::size_t kMaxLen = kLongLens.back();
+  constexpr std::size_t kMaxOffset = 15;
+  const bool clmul = std::string_view(crc32_kernel()) == "pclmul";
+  Buffer buf(kMaxLen + kMaxOffset);
+  Rng rng(14);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t off = 0; off <= kMaxOffset; ++off) {
+    std::uint32_t ref = 0xFFFFFFFFU;
+    std::size_t next_long = 0;
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      const bool is_long = next_long < kLongLens.size() &&
+                           len == kLongLens[next_long];
+      if (len <= kDenseLen || is_long) {
+        if (is_long) ++next_long;
+        const std::span<const std::uint8_t> s(buf.data() + off, len);
+        const std::uint32_t want = ref ^ 0xFFFFFFFFU;
+        ASSERT_EQ(detail::crc32_portable(s), want)
+            << "slice8, offset " << off << " length " << len;
+        if (clmul) {
+          ASSERT_EQ(detail::crc32_clmul(s), want)
+              << "pclmul, offset " << off << " length " << len;
+        }
+        ASSERT_EQ(crc32(s), want)
+            << "crc32(), offset " << off << " length " << len;
+      }
+      if (len == kMaxLen) break;
+      ref ^= buf[off + len];
+      for (int k = 0; k < 8; ++k) {
+        ref = (ref & 1U) ? 0xEDB88320U ^ (ref >> 1) : ref >> 1;
+      }
+    }
+  }
+  if (!clmul) {
+    GTEST_SKIP() << "CPU lacks PCLMULQDQ or SSE4.1: only the slice-by-8 "
+                    "kernel was checked";
   }
 }
 
