@@ -72,6 +72,15 @@ struct KvStore {
   }
 };
 
+// Keys and values are built with append: GCC 12 warns -Wrestrict (a false
+// positive) on "literal" + std::to_string(...).
+std::string key_of(int k) {
+  return std::string("key").append(std::to_string(k));
+}
+std::string value_of(int k) {
+  return std::string("v").append(std::to_string(k));
+}
+
 Buffer put_op(const std::string& k, const std::string& v) {
   BufWriter w;
   w.str(k);
@@ -134,7 +143,7 @@ int main() {
   int acked = 0;
   for (int k = 0; k < 40; ++k) {
     net.process(static_cast<std::size_t>(k) % kReplicas)
-        .user_send(put_op("key" + std::to_string(k), "v" + std::to_string(k)),
+        .user_send(put_op(key_of(k), value_of(k)),
                    [&](Status s) {
                      if (s == Status::ok) ++acked;
                    });
@@ -161,7 +170,7 @@ int main() {
   int more = 0;
   for (int k = 40; k < 60; ++k) {
     net.process(static_cast<std::size_t>(k) % 2)
-        .user_send(put_op("key" + std::to_string(k), "v" + std::to_string(k)),
+        .user_send(put_op(key_of(k), value_of(k)),
                    [&](Status s) {
                      if (s == Status::ok) ++more;
                    });

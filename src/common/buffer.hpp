@@ -86,8 +86,10 @@ inline constexpr std::uint8_t kHeapClass = 0xFE;
 inline constexpr std::uint8_t kAdoptedClass = 0xFF;
 
 /// Allocate a mutable backing block of at least `n` bytes, preferring the
-/// calling thread's freelist pool. refs == 1 on return.
-BufBacking* acquire_backing(std::size_t n);
+/// calling thread's freelist pool. refs == 1 on return. Never null (an
+/// allocation failure throws), which also tells GCC's bounds warnings that
+/// a freshly allocated SharedBuffer has real storage behind data().
+[[gnu::returns_nonnull]] BufBacking* acquire_backing(std::size_t n);
 /// Wrap a vector's storage without copying. refs == 1 on return.
 BufBacking* adopt_backing(Buffer&& vec);
 /// Return a block to the pool or free it. Called when refs hits zero.
@@ -251,9 +253,6 @@ class BufView {
   std::span<const std::uint8_t> span() const noexcept {
     return {data_, size_};
   }
-  operator std::span<const std::uint8_t>() const noexcept {  // NOLINT
-    return span();
-  }
 
   /// Slice sharing the same backing (+1 ref). Out-of-range clamps to empty.
   BufView subview(std::size_t offset, std::size_t len) const& {
@@ -298,6 +297,14 @@ class BufView {
   std::size_t size_{0};
 };
 
+// GCC 12 inlines libstdc++'s vector growth into BufWriter's callers and
+// then reports writes past a zero-size region that cannot happen (the
+// vector has just been grown). Silence only those false positives, only
+// for BufWriter.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wstringop-overflow"
+#pragma GCC diagnostic ignored "-Wstringop-overread"
+#pragma GCC diagnostic ignored "-Warray-bounds"
 /// Append-only little-endian encoder over an owned Buffer.
 class BufWriter {
  public:
@@ -343,6 +350,8 @@ class BufWriter {
 
   Buffer buf_;
 };
+
+#pragma GCC diagnostic pop
 
 /// Bounds-checked little-endian decoder over a borrowed byte span.
 ///

@@ -44,7 +44,9 @@ ShardedHarness::ShardedHarness(std::size_t n_processes, std::uint32_t n_shards,
         world_.node(i), static_cast<std::uint32_t>(i + 1),
         flip::process_address(next_addr_++), ncfg,
         seed_ ^ (0x9E3779B97F4A7C15ULL * (i + 1))));
-    node_labels_.push_back("n" + std::to_string(i));
+    // Built with append: GCC 12 warns -Wrestrict (a false positive) on
+    // "literal" + std::to_string(...).
+    node_labels_.push_back(std::string("n").append(std::to_string(i)));
     collector_.attach(node_labels_.back(), &procs_.back()->node_ring());
     for (std::uint32_t s = 0; s < n_shards_; ++s) {
       procs_.back()->add_shard(s, flip::process_address(next_addr_++), cfg_);
@@ -70,19 +72,22 @@ bool ShardedHarness::form() {
                                                    });
     // Join the rest sequentially (per shard) for deterministic member ids:
     // within shard s, the creator is id 0 and the others join in process
-    // order.
+    // order. The pending join's callback owns the chain and the chain sees
+    // itself weakly, so it is freed once no join is pending.
     auto join_next = std::make_shared<std::function<void(std::size_t)>>();
-    *join_next = [this, s, creator, join_next, &ok, &formed](std::size_t i) {
+    *join_next = [this, s, creator, self = std::weak_ptr(join_next), &ok,
+                  &formed](std::size_t i) {
       if (i >= procs_.size()) return;
       if (i == creator) {
-        (*join_next)(i + 1);
+        (*self.lock())(i + 1);
         return;
       }
       procs_[i]->node().shard(s)->join_group(
-          shard_addr(s), [this, i, join_next, &ok, &formed](Status st) {
+          shard_addr(s),
+          [i, next = self.lock(), &ok, &formed](Status st) {
             ok = ok && st == Status::ok;
             ++formed;
-            (*join_next)(i + 1);
+            (*next)(i + 1);
           });
     };
     (*join_next)(0);

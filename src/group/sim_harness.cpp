@@ -103,7 +103,9 @@ SimGroupHarness::SimGroupHarness(std::size_t n_processes, GroupConfig cfg,
     procs_.push_back(std::make_unique<SimProcess>(
         world_.node(i), flip::process_address(next_addr_++), cfg_,
         seed_ ^ (0x9E3779B97F4A7C15ULL * (i + 1))));
-    labels_.push_back("m" + std::to_string(i));
+    // Labels are built with append: GCC 12 warns -Wrestrict (a false
+    // positive) on "literal" + std::to_string(...).
+    labels_.push_back(std::string("m").append(std::to_string(i)));
     restart_counts_.push_back(0);
     collector_.attach(labels_.back(), &procs_.back()->trace_ring());
   }
@@ -114,7 +116,8 @@ SimProcess& SimGroupHarness::add_process() {
   procs_.push_back(std::make_unique<SimProcess>(
       node, flip::process_address(next_addr_++), cfg_,
       seed_ ^ (0x9E3779B97F4A7C15ULL * (procs_.size() + 1))));
-  labels_.push_back("m" + std::to_string(procs_.size() - 1));
+  labels_.push_back(
+      std::string("m").append(std::to_string(procs_.size() - 1)));
   restart_counts_.push_back(0);
   if (tracing_) {
     collector_.attach(labels_.back(), &procs_.back()->trace_ring());
@@ -137,8 +140,10 @@ check::OracleOptions::RestartPair SimGroupHarness::restart_process(
   if (tracing_) collector_.detach(labels_.at(i));
   check::OracleOptions::RestartPair pair;
   pair.pre = labels_.at(i);
-  labels_.at(i) = "m" + std::to_string(i) + "r" +
-                  std::to_string(++restart_counts_.at(i));
+  labels_.at(i) = std::string("m")
+                      .append(std::to_string(i))
+                      .append("r")
+                      .append(std::to_string(++restart_counts_.at(i)));
   pair.post = labels_.at(i);
   const Status s = procs_.at(i)->restart_from_disk();
   if (status != nullptr) *status = s;

@@ -2,6 +2,7 @@
 // positive-ack broadcast and its ack-implosion behaviour.
 #include <gtest/gtest.h>
 
+#include "chain.hpp"
 #include "baselines/chang_maxemchuk.hpp"
 #include "baselines/positive_ack.hpp"
 #include "sim/world.hpp"
@@ -101,8 +102,7 @@ TEST(ChangMaxemchuk, TotalOrderWithConcurrentSenders) {
   CmHarness h(4);
   int completed = 0;
   for (std::size_t p = 0; p < 4; ++p) {
-    auto next = std::make_shared<std::function<void(int)>>();
-    *next = [&h, &completed, p, next](int k) {
+    const Chain<int> pump([&h, &completed, p](const Chain<int>& next, int k) {
       if (k >= 10) return;
       Buffer b(4);
       b[0] = static_cast<std::uint8_t>(p);
@@ -110,10 +110,10 @@ TEST(ChangMaxemchuk, TotalOrderWithConcurrentSenders) {
       h.procs[p]->member->send(std::move(b), [&completed, k, next](Status s) {
         ASSERT_EQ(s, Status::ok);
         ++completed;
-        (*next)(k + 1);
+        next(k + 1);
       });
-    };
-    (*next)(0);
+    });
+    pump(0);
   }
   ASSERT_TRUE(h.run_until(
       [&] {
@@ -141,16 +141,15 @@ TEST(ChangMaxemchuk, RecoversFromFrameLoss) {
   h.world.segment().set_fault_plan(sim::FaultPlan{.loss_prob = 0.08});
   int completed = 0;
   for (std::size_t p = 0; p < 3; ++p) {
-    auto next = std::make_shared<std::function<void(int)>>();
-    *next = [&h, &completed, p, next](int k) {
+    const Chain<int> pump([&h, &completed, p](const Chain<int>& next, int k) {
       if (k >= 10) return;
       h.procs[p]->member->send(make_pattern_buffer(20),
                                [&completed, k, next](Status s) {
                                  if (s == Status::ok) ++completed;
-                                 (*next)(k + 1);
+                                 next(k + 1);
                                });
-    };
-    (*next)(0);
+    });
+    pump(0);
   }
   ASSERT_TRUE(h.run_until(
       [&] {

@@ -6,6 +6,7 @@
 // not the third significant digit.
 #include <gtest/gtest.h>
 
+#include "chain.hpp"
 #include "common/stats.hpp"
 #include "group/sim_harness.hpp"
 
@@ -23,8 +24,7 @@ double delay_us(std::size_t members, std::size_t bytes, Method method,
   int done = 0;
   Time start{};
   const MemberId my = h.process(1).member().info().my_id;
-  auto send_one = std::make_shared<std::function<void()>>();
-  *send_one = [&, send_one] {
+  const auto send_one = [&] {
     if (done >= iters) return;
     start = h.engine().now();
     h.process(1).user_send(make_pattern_buffer(bytes), [](Status) {});
@@ -33,10 +33,10 @@ double delay_us(std::size_t members, std::size_t bytes, Method method,
     if (m.kind == MessageKind::app && m.sender == my) {
       hist.add(h.engine().now() - start);
       ++done;
-      (*send_one)();
+      send_one();
     }
   });
-  (*send_one)();
+  send_one();
   h.run_until([&] { return done >= iters; }, Duration::seconds(300));
   return hist.mean();
 }
@@ -54,16 +54,15 @@ double throughput(std::size_t members, std::size_t batch_count = 1,
   }
   std::uint64_t completed = 0;
   for (std::size_t p = 0; p < members; ++p) {
-    auto loop = std::make_shared<std::function<void()>>();
-    *loop = [&h, &completed, p, loop] {
-      h.process(p).user_send(Buffer{}, [&completed, loop](Status s) {
+    const Chain<> loop([&h, &completed, p](const Chain<>& next) {
+      h.process(p).user_send(Buffer{}, [&completed, next](Status s) {
         if (s == Status::ok) ++completed;
-        (*loop)();
+        next();
       });
-    };
+    });
     // One chain per window slot: `window` sends stay in flight per member
     // (window 1 = the paper's blocking sender).
-    for (int w = 0; w < window; ++w) (*loop)();
+    for (int w = 0; w < window; ++w) loop();
   }
   h.run_until([] { return false; }, Duration::seconds(1));
   const std::uint64_t warm = completed;

@@ -51,7 +51,7 @@ TEST(Buffer, LengthPrefixedFieldRejectsTruncation) {
   BufWriter w;
   w.str("this string is long");
   Buffer buf = std::move(w).take();
-  buf.resize(buf.size() - 5);  // chop the tail
+  buf.erase(buf.end() - 5, buf.end());  // chop the tail
   BufReader r(buf);
   EXPECT_EQ(r.str(), "");
   EXPECT_FALSE(r.ok());

@@ -4,6 +4,7 @@
 // messages are routed appropriately", Section 4).
 #include <gtest/gtest.h>
 
+#include "chain.hpp"
 #include "flip/stack.hpp"
 #include "group/sim_harness.hpp"
 #include "sim/node.hpp"
@@ -238,16 +239,16 @@ TEST(InternetGroup, TotalOrderSpansSegments) {
     ASSERT_EQ(s, Status::ok);
     ++formed;
   });
-  auto join_next = std::make_shared<std::function<void(std::size_t)>>();
-  *join_next = [&, join_next](std::size_t i) {
+  using Join = Chain<std::size_t>;
+  const Join join_next([&](const Join& next, std::size_t i) {
     if (i >= procs.size()) return;
-    procs[i]->member().join_group(gaddr, [&, i, join_next](Status s) {
+    procs[i]->member().join_group(gaddr, [&, i, next](Status s) {
       ASSERT_EQ(s, Status::ok) << "join of member " << i;
       ++formed;
-      (*join_next)(i + 1);
+      next(i + 1);
     });
-  };
-  (*join_next)(1);
+  });
+  join_next(1);
 
   const Time deadline = engine.now() + Duration::seconds(60);
   while (formed < 5 && engine.now() < deadline && engine.pending() > 0) {
@@ -258,19 +259,18 @@ TEST(InternetGroup, TotalOrderSpansSegments) {
   // Concurrent senders on both segments.
   int completed = 0;
   for (const std::size_t p : {std::size_t{1}, std::size_t{4}}) {
-    auto pump = std::make_shared<std::function<void(int)>>();
-    *pump = [&, p, pump](int k) {
+    const Chain<int> pump([&, p](const Chain<int>& next, int k) {
       if (k >= 10) return;
       Buffer b(2);
       b[0] = static_cast<std::uint8_t>(p);
       b[1] = static_cast<std::uint8_t>(k);
-      procs[p]->user_send(std::move(b), [&, k, pump](Status s) {
+      procs[p]->user_send(std::move(b), [&, k, next](Status s) {
         ASSERT_EQ(s, Status::ok);
         ++completed;
-        (*pump)(k + 1);
+        next(k + 1);
       });
-    };
-    (*pump)(0);
+    });
+    pump(0);
   }
   const Time deadline2 = engine.now() + Duration::seconds(120);
   while (engine.now() < deadline2 && engine.pending() > 0) {

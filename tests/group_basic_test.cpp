@@ -1,6 +1,7 @@
 // End-to-end smoke tests of the group protocol on the simulator.
 #include <gtest/gtest.h>
 
+#include "chain.hpp"
 #include "group/sim_harness.hpp"
 
 namespace amoeba::group {
@@ -75,19 +76,18 @@ TEST(GroupBasic, TotalOrderWithConcurrentSenders) {
   for (std::size_t p = 0; p < h.size(); ++p) {
     // Chain sends: each process sends its next message when the previous
     // completes (the blocking-primitive pattern).
-    auto send_next = std::make_shared<std::function<void(int)>>();
-    *send_next = [&, p, send_next](int k) {
+    const Chain<int> send_next([&, p](const Chain<int>& next, int k) {
       if (k >= kPerSender) return;
       Buffer b(8);
       b[0] = static_cast<std::uint8_t>(p);
       b[1] = static_cast<std::uint8_t>(k);
-      h.process(p).user_send(std::move(b), [&, k, send_next](Status s) {
+      h.process(p).user_send(std::move(b), [&, k, next](Status s) {
         ASSERT_EQ(s, Status::ok);
         ++completed;
-        (*send_next)(k + 1);
+        next(k + 1);
       });
-    };
-    (*send_next)(0);
+    });
+    send_next(0);
   }
 
   const auto total = static_cast<int>(h.size()) * kPerSender;

@@ -4,6 +4,7 @@
 // messages"), plus sequencer overload behaviour.
 #include <gtest/gtest.h>
 
+#include "chain.hpp"
 #include "group/sim_harness.hpp"
 
 namespace amoeba::group {
@@ -19,17 +20,17 @@ std::size_t app_count(const SimProcess& p) {
 
 void pump_sends(SimGroupHarness& h, std::size_t proc, int count,
                 int* completed, std::size_t bytes = 16) {
-  auto send_next = std::make_shared<std::function<void(int)>>();
-  *send_next = [&h, proc, count, completed, bytes, send_next](int k) {
+  const Chain<int> send_next([&h, proc, count, completed, bytes](
+      const Chain<int>& next, int k) {
     if (k >= count) return;
     h.process(proc).user_send(make_pattern_buffer(bytes),
-                              [completed, k, send_next, &h, proc,
+                              [completed, k, next, &h, proc,
                                count](Status s) {
                                 if (s == Status::ok) ++*completed;
-                                (*send_next)(k + 1);
+                                next(k + 1);
                               });
-  };
-  (*send_next)(0);
+  });
+  send_next(0);
 }
 
 bool all_delivered(SimGroupHarness& h, std::size_t expect) {

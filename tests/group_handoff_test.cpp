@@ -3,6 +3,7 @@
 // departure.
 #include <gtest/gtest.h>
 
+#include "chain.hpp"
 #include "group/sim_harness.hpp"
 
 namespace amoeba::group {
@@ -89,15 +90,14 @@ TEST(GroupHandoff, TransferDuringTrafficDrainsFirst) {
 
   // Keep a sender busy while the transfer is requested.
   int sent = 0;
-  auto next = std::make_shared<std::function<void(int)>>();
-  *next = [&, next](int k) {
+  const Chain<int> pump([&](const Chain<int>& next, int k) {
     if (k >= 30) return;
     h.process(2).user_send(make_pattern_buffer(16), [&, k, next](Status s) {
       if (s == Status::ok) ++sent;
-      (*next)(k + 1);
+      next(k + 1);
     });
-  };
-  (*next)(0);
+  });
+  pump(0);
 
   std::optional<Status> transferred;
   h.engine().schedule(Duration::millis(10), [&] {

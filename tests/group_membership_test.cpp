@@ -2,6 +2,7 @@
 // traffic and faults, snapshot loss, join retries, churn.
 #include <gtest/gtest.h>
 
+#include "chain.hpp"
 #include "group/sim_harness.hpp"
 
 namespace amoeba::group {
@@ -12,15 +13,14 @@ TEST(GroupMembership, JoinDuringHeavyTraffic) {
   ASSERT_TRUE(h.form_group());
 
   int sent = 0;
-  auto next = std::make_shared<std::function<void(int)>>();
-  *next = [&, next](int k) {
+  const Chain<int> pump([&](const Chain<int>& next, int k) {
     if (k >= 60) return;
     h.process(1).user_send(make_pattern_buffer(64), [&, k, next](Status s) {
       if (s == Status::ok) ++sent;
-      (*next)(k + 1);
+      next(k + 1);
     });
-  };
-  (*next)(0);
+  });
+  pump(0);
 
   // Joiner arrives mid-stream.
   SimProcess& late = h.add_process();
@@ -172,15 +172,14 @@ TEST(GroupMembership, RejoinAfterExpulsion) {
   // fresh member.
   h.world().node(2).charge(Duration::seconds(2));
   int sent = 0;
-  auto next = std::make_shared<std::function<void(int)>>();
-  *next = [&, next](int k) {
+  const Chain<int> pump([&](const Chain<int>& next, int k) {
     if (k >= 40) return;
     h.process(1).user_send(make_pattern_buffer(8), [&, k, next](Status s) {
       if (s == Status::ok) ++sent;
-      (*next)(k + 1);
+      next(k + 1);
     });
-  };
-  (*next)(0);
+  });
+  pump(0);
 
   ASSERT_TRUE(h.run_until(
       [&] { return h.process(2).fault().has_value(); }, Duration::seconds(60)));

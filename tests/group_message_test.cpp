@@ -432,11 +432,12 @@ TEST(GroupWire, XShardSendRejectsMalformedInput) {
         << "cut=" << cut;
   }
   // A zero destination mask addresses nothing; reject it.
-  ASSERT_GE(good->payload.size(), 16u);
-  Buffer nomask(good->payload.size());
-  std::memcpy(nomask.data(), good->payload.data(), good->payload.size());
-  std::memset(nomask.data() + 8, 0, 4);
-  EXPECT_FALSE(decode_xshard_send_payload(std::move(nomask), out));
+  XShardSend zero = s;
+  zero.mask = 0;
+  auto nomask = decode_wire(
+      encode_xshard_send_wire(xshard_header(WireType::xshard_send), zero));
+  ASSERT_TRUE(nomask.has_value());
+  EXPECT_FALSE(decode_xshard_send_payload(nomask->payload, out));
 }
 
 TEST(GroupWire, XShardProposeRoundTrip) {
@@ -474,9 +475,10 @@ TEST(GroupWire, XShardProposeRejectsWrongLength) {
   }
   // ...and so is trailing garbage (exact-length check, not a prefix parse).
   ASSERT_EQ(good->payload.size(), 20u);
-  Buffer longer(good->payload.size() + 1);
-  std::memcpy(longer.data(), good->payload.data(), good->payload.size());
-  EXPECT_FALSE(decode_xshard_propose_payload(std::move(longer), out));
+  BufWriter longer;
+  longer.raw(good->payload.span());
+  longer.u8(0);
+  EXPECT_FALSE(decode_xshard_propose_payload(std::move(longer).take(), out));
 }
 
 TEST(GroupWire, XShardCommitRoundTrip) {
@@ -518,11 +520,12 @@ TEST(GroupWire, XShardCommitRejectsMalformedInput) {
         << "cut=" << cut;
   }
   // Zero mask rejected, as for xshard_send.
-  ASSERT_GE(good->payload.size(), 24u);
-  Buffer nomask(good->payload.size());
-  std::memcpy(nomask.data(), good->payload.data(), good->payload.size());
-  std::memset(nomask.data() + 8, 0, 4);
-  EXPECT_FALSE(decode_xshard_commit_payload(std::move(nomask), out));
+  XShardCommit zero = c;
+  zero.mask = 0;
+  auto nomask = decode_wire(
+      encode_xshard_commit_wire(xshard_header(WireType::xshard_commit), zero));
+  ASSERT_TRUE(nomask.has_value());
+  EXPECT_FALSE(decode_xshard_commit_payload(nomask->payload, out));
   // The whole frame still survives decode_wire with a truncated network
   // buffer rejected at the outer layer (header/payload length mismatch).
   const BufView enc =

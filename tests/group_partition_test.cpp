@@ -10,11 +10,18 @@
 // state transfer — works.
 #include <gtest/gtest.h>
 
+#include "chain.hpp"
 #include "group/sim_harness.hpp"
 #include "transport/sim_runtime.hpp"
 
 namespace amoeba::group {
 namespace {
+
+// Built with append: GCC 12 warns -Wrestrict (a false positive) on
+// "literal" + std::to_string(...).
+std::string label_of(std::size_t i) {
+  return std::string("m").append(std::to_string(i));
+}
 
 /// Five members: 0-2 on LAN A, 3-4 on LAN B, one router between. The
 /// sequencer (member 0) is on LAN A.
@@ -59,7 +66,7 @@ struct PartitionFixture : ::testing::Test {
     for (std::size_t i = 0; i < 5; ++i) {
       procs.push_back(std::make_unique<SimProcess>(
           *nodes[i], flip::process_address(i + 1), cfg));
-      collector.attach("m" + std::to_string(i), &procs[i]->trace_ring());
+      collector.attach(label_of(i), &procs[i]->trace_ring());
     }
     std::size_t formed = 0;
     procs[0]->member().create_group(gaddr, [&](Status s) {
@@ -128,15 +135,14 @@ TEST_F(PartitionFixture, SplitBrainIsContainedByIncarnations) {
   // A side expels the unreachable B members under history pressure, or
   // just keeps running (the sequencer is alive on A).
   int a_sent = 0;
-  auto pump = std::make_shared<std::function<void(int)>>();
-  *pump = [&, pump](int k) {
+  const Chain<int> pump([&](const Chain<int>& next, int k) {
     if (k >= 10) return;
-    procs[1]->user_send(make_pattern_buffer(4), [&, k, pump](Status s) {
+    procs[1]->user_send(make_pattern_buffer(4), [&, k, next](Status s) {
       if (s == Status::ok) ++a_sent;
-      (*pump)(k + 1);
+      next(k + 1);
     });
-  };
-  (*pump)(0);
+  });
+  pump(0);
   ASSERT_TRUE(run_until([&] { return a_sent == 10; }, Duration::seconds(60)));
 
   // Heal the network. The two incarnations now share a wire — and MUST
@@ -196,15 +202,14 @@ TEST_F(PartitionFixture, MinorityRejoinsMajorityAfterHeal) {
   // Majority side expels the missing members so its view converges.
   // (Drive traffic so the failure detector has pressure to act on.)
   int a_sent = 0;
-  auto pump = std::make_shared<std::function<void(int)>>();
-  *pump = [&, pump](int k) {
+  const Chain<int> pump([&](const Chain<int>& next, int k) {
     if (k >= 150) return;
-    procs[1]->user_send(make_pattern_buffer(4), [&, k, pump](Status s) {
+    procs[1]->user_send(make_pattern_buffer(4), [&, k, next](Status s) {
       if (s == Status::ok) ++a_sent;
-      (*pump)(k + 1);
+      next(k + 1);
     });
-  };
-  (*pump)(0);
+  });
+  pump(0);
   ASSERT_TRUE(run_until(
       [&] { return procs[0]->member().info().size() == 3 && a_sent >= 150; },
       Duration::seconds(120)));
@@ -222,10 +227,10 @@ TEST_F(PartitionFixture, MinorityRejoinsMajorityAfterHeal) {
       engine.schedule(Duration::millis(1), [&, p] {
         // The old member's ring dies with it; keep its history on file and
         // collect the fresh process under the same label.
-        collector.detach("m" + std::to_string(p));
+        collector.detach(label_of(p));
         procs[p] = std::make_unique<SimProcess>(
             *nodes[p], flip::process_address(100 + p), GroupConfig{});
-        collector.attach("m" + std::to_string(p), &procs[p]->trace_ring());
+        collector.attach(label_of(p), &procs[p]->trace_ring());
         procs[p]->member().join_group(gaddr, [&](Status s) {
           ASSERT_EQ(s, Status::ok);
           ++rejoined;

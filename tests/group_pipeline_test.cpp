@@ -4,6 +4,7 @@
 // rises with the window.
 #include <gtest/gtest.h>
 
+#include "chain.hpp"
 #include "group/sim_harness.hpp"
 
 namespace amoeba::group {
@@ -63,16 +64,15 @@ TEST(GroupPipeline, WindowSpeedsUpASingleSender) {
     int done = 0;
     constexpr int kTotal = 150;
     int issued = 0;
-    auto issue = std::make_shared<std::function<void()>>();
-    *issue = [&h, &done, &issued, issue] {
+    const Chain<> issue([&h, &done, &issued](const Chain<>& next) {
       if (issued >= kTotal) return;
       ++issued;
-      h.process(1).user_send(Buffer{}, [&done, issue](Status s) {
+      h.process(1).user_send(Buffer{}, [&done, next](Status s) {
         if (s == Status::ok) ++done;
-        (*issue)();
+        next();
       });
-    };
-    for (int k = 0; k < window; ++k) (*issue)();
+    });
+    for (int k = 0; k < window; ++k) issue();
     const Time t0 = h.engine().now();
     h.run_until([&] { return done == kTotal; }, Duration::seconds(120));
     if (done < kTotal) return -1.0;

@@ -15,6 +15,7 @@
 #include <map>
 #include <set>
 
+#include "chain.hpp"
 #include "group/sim_harness.hpp"
 
 namespace amoeba::group {
@@ -60,9 +61,8 @@ TEST_P(GroupProperty, SafetyInvariantsHold) {
   int completed = 0;
   std::vector<int> completed_per(p.members, 0);
   for (std::size_t proc = 0; proc < p.members; ++proc) {
-    auto next = std::make_shared<std::function<void(int)>>();
-    *next = [&h, &completed, &completed_per, proc, next,
-             per = p.per_sender](int k) {
+    const Chain<int> pump([&h, &completed, &completed_per, proc,
+                           per = p.per_sender](const Chain<int>& next, int k) {
       if (k >= per) return;
       Buffer b(8);
       b[0] = static_cast<std::uint8_t>(proc);
@@ -74,10 +74,10 @@ TEST_P(GroupProperty, SafetyInvariantsHold) {
               ++completed;
               ++completed_per[proc];
             }
-            (*next)(k + 1);
+            next(k + 1);
           });
-    };
-    (*next)(0);
+    });
+    pump(0);
   }
 
   const int total = static_cast<int>(p.members) * p.per_sender;

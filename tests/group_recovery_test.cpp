@@ -3,6 +3,7 @@
 // and the Section 2.1 delivery guarantees across recovery.
 #include <gtest/gtest.h>
 
+#include "chain.hpp"
 #include "group/sim_harness.hpp"
 
 namespace amoeba::group {
@@ -39,18 +40,18 @@ void expect_conformant(SimGroupHarness& h,
 }
 
 void pump(SimGroupHarness& h, std::size_t proc, int count, int* ok_count) {
-  auto next = std::make_shared<std::function<void(int)>>();
-  *next = [&h, proc, count, ok_count, next](int k) {
+  const Chain<int> pump([&h, proc, count, ok_count](
+      const Chain<int>& next, int k) {
     if (k >= count) return;
     Buffer b(4);
     b[0] = static_cast<std::uint8_t>(proc);
     b[1] = static_cast<std::uint8_t>(k);
     h.process(proc).user_send(std::move(b), [ok_count, k, next](Status s) {
       if (s == Status::ok) ++*ok_count;
-      (*next)(k + 1);
+      next(k + 1);
     });
-  };
-  (*next)(0);
+  });
+  pump(0);
 }
 
 TEST(GroupRecovery, SequencerCrashThenResetElectsNewSequencer) {

@@ -3,6 +3,7 @@
 // delivering in order, recovering losses, and rebuilding after crashes.
 #include <gtest/gtest.h>
 
+#include "chain.hpp"
 #include "group/sim_harness.hpp"
 
 namespace amoeba::group {
@@ -31,18 +32,17 @@ TEST(GroupWraparound, TotalOrderAcrossTheBoundary) {
 
   int sent = 0;
   for (std::size_t p = 0; p < 3; ++p) {
-    auto pump = std::make_shared<std::function<void(int)>>();
-    *pump = [&, p, pump](int k) {
+    const Chain<int> pump([&, p](const Chain<int>& next, int k) {
       if (k >= 20) return;
       Buffer b(2);
       b[0] = static_cast<std::uint8_t>(p);
       b[1] = static_cast<std::uint8_t>(k);
-      h.process(p).user_send(std::move(b), [&, k, pump](Status s) {
+      h.process(p).user_send(std::move(b), [&, k, next](Status s) {
         if (s == Status::ok) ++sent;
-        (*pump)(k + 1);
+        next(k + 1);
       });
-    };
-    (*pump)(0);
+    });
+    pump(0);
   }
   ASSERT_TRUE(h.run_until(
       [&] {
@@ -80,15 +80,14 @@ TEST(GroupWraparound, NackRecoveryAcrossTheBoundary) {
   h.world().segment().set_fault_plan(sim::FaultPlan{.loss_prob = 0.12});
 
   int sent = 0;
-  auto pump = std::make_shared<std::function<void(int)>>();
-  *pump = [&, pump](int k) {
+  const Chain<int> pump([&](const Chain<int>& next, int k) {
     if (k >= 50) return;
-    h.process(1).user_send(make_pattern_buffer(16), [&, k, pump](Status s) {
+    h.process(1).user_send(make_pattern_buffer(16), [&, k, next](Status s) {
       if (s == Status::ok) ++sent;
-      (*pump)(k + 1);
+      next(k + 1);
     });
-  };
-  (*pump)(0);
+  });
+  pump(0);
   ASSERT_TRUE(h.run_until(
       [&] {
         if (sent < 50) return false;
@@ -112,15 +111,14 @@ TEST(GroupWraparound, RecoveryAcrossTheBoundary) {
   ASSERT_TRUE(h.form_group());
 
   int sent = 0;
-  auto pump = std::make_shared<std::function<void(int)>>();
-  *pump = [&, pump](int k) {
+  const Chain<int> pump([&](const Chain<int>& next, int k) {
     if (k >= 30) return;
-    h.process(1).user_send(make_pattern_buffer(8), [&, k, pump](Status s) {
+    h.process(1).user_send(make_pattern_buffer(8), [&, k, next](Status s) {
       if (s == Status::ok) ++sent;
-      (*pump)(k + 1);
+      next(k + 1);
     });
-  };
-  (*pump)(0);
+  });
+  pump(0);
   ASSERT_TRUE(h.run_until([&] { return sent == 30; }, Duration::seconds(60)));
 
   // The crash lands after the wrap; the rebuilt stream must preserve all

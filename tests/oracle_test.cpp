@@ -66,8 +66,10 @@ class Hist {
     return *this;
   }
   RingTrace take() {
-    return RingTrace{"m" + std::to_string(member_), nullptr,
-                     std::move(events_)};
+    // Built with append: GCC 12 warns -Wrestrict (a false positive) on
+    // "literal" + std::to_string(...).
+    return RingTrace{std::string("m").append(std::to_string(member_)),
+                     nullptr, std::move(events_)};
   }
 
  private:

@@ -4,6 +4,7 @@
 // stack).
 #include <gtest/gtest.h>
 
+#include "chain.hpp"
 #include "group/sim_harness.hpp"
 #include "group/state_transfer.hpp"
 #include "orca/objects.hpp"
@@ -69,13 +70,12 @@ TEST(OrcaJoin, NewWorkerAcquiresAllObjectsMidStream) {
 
   // History: counters and directory entries, continuously updated.
   int completed = 0;
-  auto pump = std::make_shared<std::function<void(int)>>();
-  *pump = [&, pump](int k) {
+  const Chain<int> pump([&](const Chain<int>& next, int k) {
     if (k >= 30) return;
     nodes[0]->orca->write("total", SharedInteger::op_add(k),
-                          [&, k, pump](Status s) {
+                          [&, k, next](Status s) {
                             if (s == Status::ok) ++completed;
-                            (*pump)(k + 1);
+                            next(k + 1);
                           });
     if (k % 5 == 0) {
       nodes[1]->orca->write(
@@ -85,8 +85,8 @@ TEST(OrcaJoin, NewWorkerAcquiresAllObjectsMidStream) {
             if (s == Status::ok) ++completed;
           });
     }
-  };
-  (*pump)(0);
+  });
+  pump(0);
 
   // Mid-stream join + atomic multi-object state transfer.
   SimProcess& newcomer = h.add_process();

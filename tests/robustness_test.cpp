@@ -4,6 +4,7 @@
 // nonsense upward.
 #include <gtest/gtest.h>
 
+#include "chain.hpp"
 #include "common/rng.hpp"
 #include "flip/packet.hpp"
 #include "group/message.hpp"
@@ -77,9 +78,8 @@ TEST(Robustness, GroupSurvivesGarbageInjectedAtMembers) {
 
   Rng rng(99);
   // Periodic garbage injection straight into the wire.
-  auto inject = std::make_shared<std::function<void()>>();
   int injected = 0;
-  *inject = [&h, &rng, &injected, inject] {
+  const Chain<> inject([&h, &rng, &injected](const Chain<>& next) {
     if (injected >= 200) return;
     ++injected;
     sim::Frame f;
@@ -89,20 +89,19 @@ TEST(Robustness, GroupSurvivesGarbageInjectedAtMembers) {
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next());
     f.payload = std::move(junk);
     h.world().node(0).nic().send(std::move(f));
-    h.world().node(0).set_timer(Duration::micros(500), *inject);
-  };
-  (*inject)();
+    h.world().node(0).set_timer(Duration::micros(500), [next] { next(); });
+  });
+  inject();
 
   int completed = 0;
-  auto pump = std::make_shared<std::function<void(int)>>();
-  *pump = [&h, &completed, pump](int k) {
+  const Chain<int> pump([&h, &completed](const Chain<int>& next, int k) {
     if (k >= 30) return;
-    h.process(1).user_send(make_pattern_buffer(64), [&, k, pump](Status s) {
+    h.process(1).user_send(make_pattern_buffer(64), [&, k, next](Status s) {
       if (s == Status::ok) ++completed;
-      (*pump)(k + 1);
+      next(k + 1);
     });
-  };
-  (*pump)(0);
+  });
+  pump(0);
 
   ASSERT_TRUE(h.run_until(
       [&] {

@@ -24,8 +24,7 @@ namespace amoeba::group {
 namespace {
 
 /// One OS-process-worth of stack, with the fault interposer between the
-/// FLIP stack and the UDP device. `rx_shards > 1` runs the runtime on the
-/// multi-socket SO_REUSEPORT receive path (SPSC rings under the chaos).
+/// FLIP stack and the UDP device.
 struct ChaosProc {
   check::TraceRing ring;  // structured event trace, drained by the test
   transport::UdpRuntime rt;
@@ -33,22 +32,13 @@ struct ChaosProc {
   flip::FlipStack flip;
   BlockingGroup grp;
 
-  static transport::UdpOptions opts_for(unsigned rx_shards) {
-    transport::UdpOptions o;
-    o.rx_shards = rx_shards;
-    return o;
-  }
-
-  ChaosProc(flip::Address addr, GroupConfig cfg, std::uint64_t seed,
-            unsigned rx_shards = 1)
-      : rt(opts_for(rx_shards)), faults(rt, rt, seed), flip(rt, faults),
-        grp(rt, flip, addr, cfg) {
+  ChaosProc(flip::Address addr, GroupConfig cfg, std::uint64_t seed)
+      : faults(rt, rt, seed), flip(rt, faults), grp(rt, flip, addr, cfg) {
     grp.member().set_trace_ring(&ring);  // before rt.start(): no races
   }
 };
 
 class UdpChaos : public ::testing::TestWithParam<std::uint64_t> {};
-class UdpChaosMultiSocket : public ::testing::TestWithParam<std::uint64_t> {};
 
 // Payload tag: (phase, sender, k) packed into the first bytes.
 Buffer tagged(std::size_t bytes, int phase, std::size_t sender, int k) {
@@ -62,7 +52,7 @@ int tag_of(const GroupMessage& m) {
   return (m.data[0] << 16) | (m.data[1] << 8) | m.data[2];
 }
 
-void run_chaos_lifecycle(std::uint64_t seed, unsigned rx_shards) {
+void run_chaos_lifecycle(std::uint64_t seed) {
   constexpr std::size_t kN = 4;
 
   GroupConfig cfg;
@@ -81,8 +71,7 @@ void run_chaos_lifecycle(std::uint64_t seed, unsigned rx_shards) {
   std::vector<std::unique_ptr<ChaosProc>> procs;
   for (std::size_t i = 0; i < kN; ++i) {
     procs.push_back(std::make_unique<ChaosProc>(
-        flip::process_address(i + 1), cfg, seed ^ (i * 0x9E37ULL), rx_shards));
-    ASSERT_EQ(procs.back()->rt.rx_shards(), rx_shards);
+        flip::process_address(i + 1), cfg, seed ^ (i * 0x9E37ULL)));
   }
   std::vector<std::pair<std::string, std::uint16_t>> table;
   for (auto& p : procs) table.emplace_back("127.0.0.1", p->rt.local_port());
@@ -93,7 +82,10 @@ void run_chaos_lifecycle(std::uint64_t seed, unsigned rx_shards) {
 
   check::TraceCollector collector;
   for (std::size_t i = 0; i < kN; ++i) {
-    collector.attach("m" + std::to_string(i), &procs[i]->ring);
+    // Built with append: GCC 12 warns -Wrestrict (a false positive) on
+    // "literal" + std::to_string(...).
+    collector.attach(std::string("m").append(std::to_string(i)),
+                     &procs[i]->ring);
   }
 
   const flip::Address gaddr = flip::group_address(0x7A);
@@ -297,15 +289,7 @@ void run_chaos_lifecycle(std::uint64_t seed, unsigned rx_shards) {
 }
 
 TEST_P(UdpChaos, LifecycleSurvivesSeededFaults) {
-  run_chaos_lifecycle(GetParam(), /*rx_shards=*/1);
-}
-
-// The same full lifecycle — faults, crash, ResetGroup, oracle — on the
-// multi-socket SO_REUSEPORT receive path: RX threads producing into SPSC
-// rings while the protocol core consumes. One small seed batch on PR CI;
-// the single-socket sweep above keeps the wide coverage.
-TEST_P(UdpChaosMultiSocket, LifecycleSurvivesSeededFaults) {
-  run_chaos_lifecycle(GetParam(), /*rx_shards=*/4);
+  run_chaos_lifecycle(GetParam());
 }
 
 /// Sweep width is environment-driven: AMOEBA_CHAOS_SEEDS (default 20).
@@ -321,8 +305,6 @@ std::vector<std::uint64_t> chaos_seeds() {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, UdpChaos, ::testing::ValuesIn(chaos_seeds()));
-INSTANTIATE_TEST_SUITE_P(SeedBatch, UdpChaosMultiSocket,
-                         ::testing::Values(1ULL, 2ULL, 3ULL));
 
 }  // namespace
 }  // namespace amoeba::group
