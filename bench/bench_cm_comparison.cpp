@@ -65,23 +65,22 @@ CmRun run_cm(std::size_t members, int broadcasts) {
   // Symmetric with the Amoeba delay measurement: charge the user-level
   // syscall before the send and the wakeup + receive after completion.
   auto& uexec = procs[1]->exec;
-  auto send_one = std::make_shared<std::function<void()>>();
-  *send_one = [&, send_one] {
+  const Chain<> send_one([&](const Chain<>& next) {
     if (done >= broadcasts) return;
-    uexec.post(uexec.costs().user_send, [&, send_one] {
+    uexec.post(uexec.costs().user_send, [&, next] {
       start = world.now();
-      procs[1]->member->send(Buffer{}, [&, send_one](Status s) {
+      procs[1]->member->send(Buffer{}, [&, next](Status s) {
         if (s != Status::ok) return;
         uexec.post(uexec.costs().ctx_switch + uexec.costs().user_deliver,
-                   [&, send_one] {
+                   [&, next] {
                      hist.add(world.now() - start);
                      ++done;
-                     (*send_one)();
+                     next();
                    });
       });
     });
-  };
-  (*send_one)();
+  });
+  send_one();
   const Time deadline = world.now() + Duration::seconds(300);
   while (done < broadcasts && world.now() < deadline &&
          world.engine().pending() > 0) {
@@ -129,8 +128,7 @@ AmoebaRun run_amoeba(std::size_t members, int broadcasts) {
   int done = 0;
   Time start{};
   const group::MemberId my = h.process(1).member().info().my_id;
-  auto send_one = std::make_shared<std::function<void()>>();
-  *send_one = [&, send_one] {
+  const auto send_one = [&] {
     if (done >= broadcasts) return;
     start = h.engine().now();
     h.process(1).user_send(Buffer{}, [](Status) {});
@@ -139,10 +137,10 @@ AmoebaRun run_amoeba(std::size_t members, int broadcasts) {
     if (m.kind == group::MessageKind::app && m.sender == my) {
       hist.add(h.engine().now() - start);
       ++done;
-      (*send_one)();
+      send_one();
     }
   });
-  (*send_one)();
+  send_one();
   h.run_until([&] { return done >= broadcasts; }, Duration::seconds(300));
 
   std::uint64_t interrupts = 0;
@@ -196,14 +194,13 @@ double cm_throughput(std::size_t members, Duration sim_time) {
   }
   std::uint64_t completed = 0;
   for (std::size_t i = 0; i < members; ++i) {
-    auto loop = std::make_shared<std::function<void()>>();
-    *loop = [&procs, &completed, i, loop] {
-      procs[i]->member->send(Buffer{}, [&completed, loop](Status s) {
+    const Chain<> loop([&procs, &completed, i](const Chain<>& next) {
+      procs[i]->member->send(Buffer{}, [&completed, next](Status s) {
         if (s == Status::ok) ++completed;
-        (*loop)();
+        next();
       });
-    };
-    (*loop)();
+    });
+    loop();
   }
   world.run_for(Duration::seconds(1));
   const std::uint64_t warm = completed;

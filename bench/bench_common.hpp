@@ -20,6 +20,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/chain.hpp"
 #include "common/stats.hpp"
 #include "group/sim_harness.hpp"
 

@@ -12,7 +12,7 @@
 // pinned to untouched shards must keep its throughput as the mix grows.
 #include "bench_common.hpp"
 
-#include "group/sharded_harness.hpp"
+#include "group/sim_harness.hpp"
 
 namespace {
 
@@ -35,11 +35,11 @@ MixResult measure_cross_mix(int mix_pct, amoeba::Duration sim_time) {
   constexpr int kWindow = 4;
 
   GroupConfig cfg;
-  ShardedHarness h(kProcs, 4, cfg, Node::Config{},
+  SimGroupHarness h(kProcs, 4, cfg, Node::Config{},
                    sim::CostModel::mc68030_ether10(), 1);
   h.set_tracing(false);
   MixResult out;
-  if (!h.form()) return out;
+  if (!h.form_group()) return out;
 
   const Time t_end = h.engine().now() + sim_time;
   std::uint64_t done_mix = 0, done_bg = 0;

@@ -24,15 +24,14 @@ ThroughputResult run(std::size_t senders, std::size_t bytes, bool fc) {
   }
   std::uint64_t completed = 0;
   for (std::size_t p = 0; p < senders; ++p) {
-    auto loop = std::make_shared<std::function<void()>>();
-    *loop = [&h, &completed, p, bytes, loop] {
+    const Chain<> loop([&h, &completed, p, bytes](const Chain<>& next) {
       h.process(p).user_send(make_pattern_buffer(bytes),
-                             [&completed, loop](Status s) {
+                             [&completed, next](Status s) {
                                if (s == Status::ok) ++completed;
-                               (*loop)();
+                               next();
                              });
-    };
-    (*loop)();
+    });
+    loop();
   }
   h.run_until([] { return false; }, Duration::seconds(1));
   const std::uint64_t warm = completed;

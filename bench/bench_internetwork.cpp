@@ -45,15 +45,15 @@ double spanning_delay_us(std::size_t n, std::size_t remote, int iters) {
   procs[0]->member().create_group(gaddr, [&](Status s) {
     if (s == Status::ok) ++formed;
   });
-  auto join_next = std::make_shared<std::function<void(std::size_t)>>();
-  *join_next = [&, join_next](std::size_t i) {
-    if (i >= procs.size()) return;
-    procs[i]->member().join_group(gaddr, [&, i, join_next](Status s) {
-      if (s == Status::ok) ++formed;
-      (*join_next)(i + 1);
-    });
-  };
-  (*join_next)(1);
+  const Chain<std::size_t> join_next(
+      [&](const Chain<std::size_t>& next, std::size_t i) {
+        if (i >= procs.size()) return;
+        procs[i]->member().join_group(gaddr, [&, i, next](Status s) {
+          if (s == Status::ok) ++formed;
+          next(i + 1);
+        });
+      });
+  join_next(1);
   while (formed < n && engine.pending() > 0 &&
          engine.now() < Time{} + Duration::seconds(60)) {
     engine.run_steps(64);
@@ -67,24 +67,23 @@ double spanning_delay_us(std::size_t n, std::size_t remote, int iters) {
   int done = 0;
   Time start{};
   std::size_t delivered_this_round = 0;
-  auto send_one = std::make_shared<std::function<void()>>();
-  *send_one = [&, send_one] {
+const auto send_one = [&] {
     if (done >= iters) return;
     start = engine.now();
     delivered_this_round = 0;
     procs[1]->user_send(Buffer{}, [](Status) {});
   };
   for (std::size_t i = 0; i < n; ++i) {
-    procs[i]->set_on_deliver([&, send_one](const group::GroupMessage& m) {
+    procs[i]->set_on_deliver([&](const group::GroupMessage& m) {
       if (m.kind != group::MessageKind::app) return;
       if (++delivered_this_round == n) {
         hist.add(engine.now() - start);
         ++done;
-        (*send_one)();
+        send_one();
       }
     });
   }
-  (*send_one)();
+  send_one();
   const Time deadline = engine.now() + Duration::seconds(300);
   while (done < iters && engine.now() < deadline && engine.pending() > 0) {
     engine.run_steps(64);

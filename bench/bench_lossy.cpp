@@ -36,8 +36,7 @@ LossyRun run(double loss, std::uint64_t seed) {
     int done = 0;
     Time start{};
     const group::MemberId my = h.process(1).member().info().my_id;
-    auto send_one = std::make_shared<std::function<void()>>();
-    *send_one = [&, send_one] {
+    const auto send_one = [&] {
       if (done >= 200) return;
       start = h.engine().now();
       h.process(1).user_send(Buffer{}, [](Status) {});
@@ -46,10 +45,10 @@ LossyRun run(double loss, std::uint64_t seed) {
       if (m.kind == group::MessageKind::app && m.sender == my) {
         hist.add(h.engine().now() - start);
         ++done;
-        (*send_one)();
+        send_one();
       }
     });
-    (*send_one)();
+    send_one();
     h.run_until([&] { return done >= 200; }, Duration::seconds(600));
     out.delay_ms = hist.mean() / 1000.0;
     out.p99_ms = hist.percentile(99) / 1000.0;
@@ -65,14 +64,13 @@ LossyRun run(double loss, std::uint64_t seed) {
     for (std::size_t p = 0; p < 8; ++p) h.process(p).set_keep_payloads(false);
     std::uint64_t completed = 0;
     for (std::size_t p = 0; p < 8; ++p) {
-      auto loop = std::make_shared<std::function<void()>>();
-      *loop = [&h, &completed, p, loop] {
-        h.process(p).user_send(Buffer{}, [&completed, loop](Status s) {
+      const Chain<> loop([&h, &completed, p](const Chain<>& next) {
+        h.process(p).user_send(Buffer{}, [&completed, next](Status s) {
           if (s == Status::ok) ++completed;
-          (*loop)();
+          next();
         });
-      };
-      (*loop)();
+      });
+      loop();
     }
     h.run_until([] { return false; }, Duration::seconds(1));
     const std::uint64_t warm = completed;

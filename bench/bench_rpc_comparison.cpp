@@ -31,25 +31,24 @@ double rpc_delay_us(std::size_t bytes, int iters) {
   Histogram hist;
   int done = 0;
   Time start{};
-  auto call_one = std::make_shared<std::function<void()>>();
-  *call_one = [&, call_one, bytes, iters] {
+  const Chain<> call_one([&, bytes, iters](const Chain<>& next) {
     if (done >= iters) return;
     // User level: syscall entry for trans().
-    cex.post(cex.costs().user_send, [&, call_one, bytes] {
+    cex.post(cex.costs().user_send, [&, next, bytes] {
       start = world.now();
-      client.call(sa, Buffer(bytes), [&, call_one](Result<Buffer> r) {
+      client.call(sa, Buffer(bytes), [&, next](Result<Buffer> r) {
         if (!r.ok()) return;
         // Completion wakes the blocked client thread.
-        cex.post(cex.costs().ctx_switch + cex.costs().user_deliver, [&,
-                                                                     call_one] {
-          hist.add(world.now() - start);
-          ++done;
-          (*call_one)();
-        });
+        cex.post(cex.costs().ctx_switch + cex.costs().user_deliver,
+                 [&, next] {
+                   hist.add(world.now() - start);
+                   ++done;
+                   next();
+                 });
       });
     });
-  };
-  (*call_one)();
+  });
+  call_one();
   const Time deadline = world.now() + Duration::seconds(300);
   while (done < iters && world.now() < deadline &&
          world.engine().pending() > 0) {

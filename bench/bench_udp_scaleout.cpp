@@ -81,13 +81,10 @@ void broadcast_bench(benchmark::State& state, bool kmcast) {
   std::vector<std::unique_ptr<Node>> nodes;
   UdpOptions o;
   o.kernel_multicast = kmcast;
-  nodes.push_back(std::make_unique<Node>(o));  // sender, owns mcast port
-  if (kmcast) {
-    if (!nodes[0]->rt.kernel_multicast_active()) {
-      state.SkipWithError("kernel multicast unavailable");
-      return;
-    }
-    o.mcast_port = nodes[0]->rt.mcast_port();
+  nodes.push_back(std::make_unique<Node>(o));  // sender
+  if (kmcast && !nodes[0]->rt.kernel_multicast_active()) {
+    state.SkipWithError("kernel multicast unavailable");
+    return;
   }
   for (std::size_t i = 0; i < kReceivers; ++i) {
     nodes.push_back(std::make_unique<Node>(o));

@@ -17,7 +17,7 @@
 #include <map>
 #include <string>
 
-#include "group/sharded_harness.hpp"
+#include "group/sim_harness.hpp"
 
 using namespace amoeba;
 using namespace amoeba::group;
@@ -89,9 +89,9 @@ int main() {
 
   GroupConfig cfg;
   cfg.resilience = 1;  // updates survive one crash once accepted
-  ShardedHarness h(kStations, kShards, cfg);
+  SimGroupHarness h(kStations, kShards, cfg);
   h.set_tracing(false);  // application run, no oracle
-  if (!h.form()) {
+  if (!h.form_group()) {
     std::fprintf(stderr, "group formation failed\n");
     return 1;
   }

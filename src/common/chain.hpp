@@ -1,7 +1,7 @@
 // A self-continuing callback chain without an ownership cycle.
 //
-// Tests drive closed-loop traffic with chains: step k issues an operation
-// whose completion runs step k + 1. Storing the step in a shared
+// Tests, benches and the simulation harness drive closed-loop traffic with
+// chains: step k issues an operation whose completion runs step k + 1. Storing the step in a shared
 // std::function that captures its own shared_ptr makes the function own
 // itself, so it is never freed (LeakSanitizer reports every such chain).
 // Here the step does not capture the chain: each call hands it `next`, a

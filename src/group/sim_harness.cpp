@@ -1,13 +1,44 @@
 #include "group/sim_harness.hpp"
 
+#include "common/chain.hpp"
+
 namespace amoeba::group {
 
 SimProcess::SimProcess(sim::Node& node, flip::Address addr, GroupConfig cfg,
                        std::uint64_t fault_seed)
-    : node_(node), addr_(addr), cfg_(cfg),
-      trace_ring_(std::make_unique<check::TraceRing>()), exec_(node),
-      dev_(node), faults_(dev_, exec_, fault_seed), flip_(exec_, faults_) {
+    : node_(node), addr_(addr), cfg_(cfg), exec_(node), dev_(node),
+      faults_(dev_, exec_, fault_seed), flip_(exec_, faults_),
+      ring_(std::make_unique<check::TraceRing>()), faults_seen_(1) {
   make_member();
+}
+
+SimProcess::SimProcess(sim::Node& node, std::uint32_t node_id,
+                       flip::Address node_addr, Node::Config ncfg,
+                       std::uint64_t fault_seed)
+    : node_(node), addr_(node_addr), exec_(node), dev_(node),
+      faults_(dev_, exec_, fault_seed), flip_(exec_, faults_),
+      ring_(std::make_unique<check::TraceRing>()),
+      gnode_(std::make_unique<Node>(flip_, exec_, node_addr, node_id, ncfg)) {
+  gnode_->set_trace_ring(ring_.get());
+  gnode_->set_deliver([this](std::uint32_t shard, const GroupMessage& gm,
+                             std::uint64_t xid) {
+    shard_deliveries_.push_back(ShardDelivery{
+        .shard = shard, .xid = xid, .seq = gm.seq,
+        .fp = check::fingerprint(gm.data)});
+  });
+}
+
+void SimProcess::add_shard(std::uint32_t tag, flip::Address member_addr,
+                           GroupConfig cfg) {
+  while (shard_rings_.size() <= tag) {
+    shard_rings_.push_back(std::make_unique<check::TraceRing>());
+    faults_seen_.emplace_back();
+  }
+  GroupMember::Callbacks cbs;
+  cbs.on_fault = [this, tag](Status s) { faults_seen_[tag] = s; };
+  GroupMember& m =
+      gnode_->add_shard(tag, member_addr, std::move(cfg), std::move(cbs));
+  m.set_trace_ring(shard_rings_.at(tag).get());
 }
 
 void SimProcess::make_member() {
@@ -30,11 +61,9 @@ void SimProcess::make_member() {
                 // node the thread is runnable and resumes with the queued
                 // work (this is why the paper's sequencer reaches 815 msg/s
                 // rather than the naive interrupt-path bound).
-                const Time now = exec_.now();
-                if (node_.cpu_free() <= now) {
+                if (node_.cpu_free() <= exec_.now()) {
                   cost += c.ctx_switch;
                 }
-                last_delivery_ = now;
                 GroupMessage copy = m;
                 if (!keep_payloads_) copy.data.clear();
                 exec_.post(cost, [this, copy = std::move(copy)]() mutable {
@@ -43,9 +72,33 @@ void SimProcess::make_member() {
                 });
               },
           .on_view = [this](const ViewChange& v) { views_.push_back(v); },
-          .on_fault = [this](Status s) { fault_ = s; },
+          .on_fault = [this](Status s) { faults_seen_[0] = s; },
       });
-  member_->set_trace_ring(trace_ring_.get());
+  member_->set_trace_ring(ring_.get());
+}
+
+std::vector<std::pair<std::string, check::TraceRing*>>
+SimProcess::trace_rings() {
+  std::vector<std::pair<std::string, check::TraceRing*>> out{{"", ring_.get()}};
+  for (std::size_t s = 0; s < shard_rings_.size(); ++s) {
+    // Built with append: GCC 12 warns -Wrestrict (a false positive) on
+    // "literal" + std::to_string(...).
+    out.emplace_back(std::string(".s").append(std::to_string(s)),
+                     shard_rings_[s].get());
+  }
+  return out;
+}
+
+void SimProcess::set_tracing(bool on) {
+  check::TraceRing* ring = on ? ring_.get() : nullptr;
+  if (gnode_) {
+    gnode_->set_trace_ring(ring);
+  } else {
+    member_->set_trace_ring(ring);
+  }
+  for (std::uint32_t s = 0; s < shard_rings_.size(); ++s) {
+    gnode_->shard(s)->set_trace_ring(on ? shard_rings_[s].get() : nullptr);
+  }
 }
 
 void SimProcess::enable_durability() {
@@ -69,10 +122,10 @@ void SimProcess::crash_with_disk(
 Status SimProcess::restart_from_disk() {
   member_.reset();  // the old life dies with the node
   node_.restart();
-  trace_ring_ = std::make_unique<check::TraceRing>();
+  ring_ = std::make_unique<check::TraceRing>();
   delivered_.clear();
   views_.clear();
-  fault_.reset();
+  faults_seen_[0].reset();
   make_member();
   if (!storage_) return Status::invalid_argument;
   log_ = std::make_unique<DurableLog>(
@@ -97,34 +150,65 @@ void SimProcess::user_send(Buffer data, GroupMember::StatusCb done) {
 SimGroupHarness::SimGroupHarness(std::size_t n_processes, GroupConfig cfg,
                                  sim::CostModel model, std::uint64_t seed)
     : cfg_(cfg), world_(n_processes, model, seed),
-      gaddr_(flip::group_address(0x6702)), seed_(seed) {
-  for (std::size_t i = 0; i < n_processes; ++i) {
-    // Distinct fault stream per station, all derived from the one seed.
+      gaddrs_{flip::group_address(0x6702)}, next_addr_(1), seed_(seed) {
+  for (std::size_t i = 0; i < n_processes; ++i) add_station(world_.node(i));
+}
+
+SimGroupHarness::SimGroupHarness(std::size_t n_processes,
+                                 std::uint32_t n_shards, GroupConfig cfg,
+                                 Node::Config ncfg, sim::CostModel model,
+                                 std::uint64_t seed)
+    : cfg_(cfg), ncfg_(ncfg), world_(n_processes, model, seed),
+      next_addr_(0x5000), seed_(seed) {
+  for (std::uint32_t s = 0; s < n_shards; ++s) {
+    gaddrs_.push_back(flip::group_address(0x7100 + s));
+  }
+  for (std::size_t i = 0; i < n_processes; ++i) add_station(world_.node(i));
+}
+
+SimProcess& SimGroupHarness::add_station(sim::Node& node) {
+  const std::size_t i = procs_.size();
+  // Distinct fault stream per station, all derived from the one seed.
+  const std::uint64_t fault_seed = seed_ ^ (0x9E3779B97F4A7C15ULL * (i + 1));
+  if (ncfg_) {
     procs_.push_back(std::make_unique<SimProcess>(
-        world_.node(i), flip::process_address(next_addr_++), cfg_,
-        seed_ ^ (0x9E3779B97F4A7C15ULL * (i + 1))));
-    // Labels are built with append: GCC 12 warns -Wrestrict (a false
-    // positive) on "literal" + std::to_string(...).
-    labels_.push_back(std::string("m").append(std::to_string(i)));
-    restart_counts_.push_back(0);
-    collector_.attach(labels_.back(), &procs_.back()->trace_ring());
+        node, static_cast<std::uint32_t>(i + 1),
+        flip::process_address(next_addr_++), *ncfg_, fault_seed));
+    for (std::uint32_t s = 0; s < groups(); ++s) {
+      procs_.back()->add_shard(s, flip::process_address(next_addr_++), cfg_);
+    }
+  } else {
+    procs_.push_back(std::make_unique<SimProcess>(
+        node, flip::process_address(next_addr_++), cfg_, fault_seed));
+  }
+  labels_.push_back(std::string(ncfg_ ? "n" : "m").append(std::to_string(i)));
+  restart_counts_.push_back(0);
+  if (tracing_) {
+    attach_rings(i);
+  } else {
+    procs_.back()->set_tracing(false);
+  }
+  return *procs_.back();
+}
+
+void SimGroupHarness::attach_rings(std::size_t i) {
+  for (const auto& [suffix, ring] : procs_[i]->trace_rings()) {
+    collector_.attach(labels_[i] + suffix, ring);
   }
 }
 
-SimProcess& SimGroupHarness::add_process() {
-  sim::Node& node = world_.add_node();
-  procs_.push_back(std::make_unique<SimProcess>(
-      node, flip::process_address(next_addr_++), cfg_,
-      seed_ ^ (0x9E3779B97F4A7C15ULL * (procs_.size() + 1))));
-  labels_.push_back(
-      std::string("m").append(std::to_string(procs_.size() - 1)));
-  restart_counts_.push_back(0);
-  if (tracing_) {
-    collector_.attach(labels_.back(), &procs_.back()->trace_ring());
-  } else {
-    procs_.back()->member().set_trace_ring(nullptr);
+std::string SimGroupHarness::member_label(std::size_t i,
+                                          std::uint32_t g) const {
+  if (!ncfg_) return labels_.at(i);
+  return labels_.at(i) + ".s" + std::to_string(g);
+}
+
+std::vector<std::string> SimGroupHarness::ring_labels(std::size_t i) {
+  std::vector<std::string> out;
+  for (const auto& [suffix, ring] : procs_.at(i)->trace_rings()) {
+    out.push_back(labels_[i] + suffix);
   }
-  return *procs_.back();
+  return out;
 }
 
 void SimGroupHarness::crash_process(
@@ -148,9 +232,9 @@ check::OracleOptions::RestartPair SimGroupHarness::restart_process(
   const Status s = procs_.at(i)->restart_from_disk();
   if (status != nullptr) *status = s;
   if (tracing_) {
-    collector_.attach(labels_.at(i), &procs_.at(i)->trace_ring());
+    attach_rings(i);
   } else {
-    procs_.at(i)->member().set_trace_ring(nullptr);
+    procs_.at(i)->set_tracing(false);
   }
   return pair;
 }
@@ -158,23 +242,32 @@ check::OracleOptions::RestartPair SimGroupHarness::restart_process(
 bool SimGroupHarness::form_group() {
   bool ok = true;
   std::size_t formed = 0;
-  procs_[0]->member().create_group(gaddr_, [&](Status s) {
+  const auto count = [&ok, &formed](Status s) {
     ok = ok && s == Status::ok;
     ++formed;
-  });
-  // Join sequentially: each joiner starts once the previous one is in, so
-  // member ids are deterministic (process i gets id i).
-  std::function<void(std::size_t)> join_next = [&](std::size_t i) {
-    if (i >= procs_.size()) return;
-    procs_[i]->member().join_group(gaddr_, [&, i](Status s) {
-      ok = ok && s == Status::ok;
-      ++formed;
-      join_next(i + 1);
-    });
   };
-  join_next(1);
-  run_until([&] { return formed == procs_.size(); }, Duration::seconds(30));
-  return ok && formed == procs_.size();
+  for (std::uint32_t g = 0; g < groups(); ++g) {
+    const std::size_t creator = g % procs_.size();
+    procs_[creator]->member(g).create_group(gaddrs_[g], count);
+    // Join one at a time: each joiner starts once the previous one is in,
+    // so member ids are deterministic (the creator is id 0, the others
+    // follow in station order). The pending join owns the chain.
+    const Chain<std::size_t> join_next(
+        [this, g, creator, &count](const Chain<std::size_t>& next,
+                                   std::size_t i) {
+          if (i == creator) ++i;
+          if (i >= procs_.size()) return;
+          procs_[i]->member(g).join_group(gaddrs_[g],
+                                          [&count, next, i](Status s) {
+                                            count(s);
+                                            next(i + 1);
+                                          });
+        });
+    join_next(0);
+  }
+  const std::size_t want = procs_.size() * groups();
+  run_until([&] { return formed == want; }, Duration::seconds(60));
+  return ok && formed == want;
 }
 
 bool SimGroupHarness::run_until(const std::function<bool()>& pred,
@@ -200,13 +293,11 @@ check::Verdict SimGroupHarness::check_conformance(check::OracleOptions opts) {
 void SimGroupHarness::set_tracing(bool on) {
   if (on == tracing_) return;
   tracing_ = on;
-  if (on) {
-    for (std::size_t i = 0; i < procs_.size(); ++i) {
-      procs_[i]->member().set_trace_ring(&procs_[i]->trace_ring());
-      collector_.attach(labels_[i], &procs_[i]->trace_ring());
-    }
-  } else {
-    for (auto& p : procs_) p->member().set_trace_ring(nullptr);
+  for (std::size_t i = 0; i < procs_.size(); ++i) {
+    procs_[i]->set_tracing(on);
+    if (on) attach_rings(i);
+  }
+  if (!on) {
     collector_.detach_all();
     collector_.clear();
   }

@@ -210,8 +210,8 @@ void UdpRuntime::setup_multicast() {
 
   // Dedicated receive socket on the shared multicast port. Every station
   // on the host binds the same port (SO_REUSEADDR/SO_REUSEPORT), and the
-  // kernel delivers each group datagram to ALL of them; subscription
-  // filtering is per-socket membership plus FLIP's address match.
+  // kernel delivers each group datagram to every socket that joined the
+  // group; FLIP's address match filters the rest.
   mcast_fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (mcast_fd_ < 0) return fallback("socket() failed");
   const int one = 1;
@@ -220,18 +220,20 @@ void UdpRuntime::setup_multicast() {
     return fallback("SO_REUSEADDR failed");
   }
   ::setsockopt(mcast_fd_, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
+  // Receive only the groups this socket joined, not every group some
+  // other socket on the host joined on the same port.
+  const int zero = 0;
+  ::setsockopt(mcast_fd_, IPPROTO_IP, IP_MULTICAST_ALL, &zero, sizeof(zero));
   size_rx_buffer(mcast_fd_);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(opts_.mcast_port);
+  addr.sin_port = htons(kMcastPort);
   if (::bind(mcast_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
       0) {
-    return fallback("bind(mcast_port) failed");
+    return fallback("bind(kMcastPort) failed");
   }
-  socklen_t len = sizeof(addr);
-  ::getsockname(mcast_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  mcast_port_ = ntohs(addr.sin_port);
+  mcast_port_ = kMcastPort;
 
   // Egress setup on the TX socket: pin the interface and enable loopback
   // delivery so single-host benches see their own group traffic.
@@ -405,7 +407,6 @@ void UdpRuntime::enqueue_tx(Endpoint to, BufView payload, bool mcast) {
     // stalled flusher grow the queue without bound. The deliberate
     // exception to "syscalls outside mu_" — bounded memory wins.
     io_stats_.tx_queue_hwm_hits.fetch_add(1, std::memory_order_relaxed);
-    io_stats_.tx_backpressure_waits.fetch_add(1, std::memory_order_relaxed);
     std::vector<PendingTx> batch;
     batch.swap(tx_queue_);
     flush_tx(batch);

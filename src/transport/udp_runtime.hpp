@@ -10,9 +10,11 @@
 //   Kernel IP multicast (`UdpOptions::kernel_multicast`): `mcast_key`s map
 //   onto 239.192/16 groups; send_multicast/send_broadcast cost one
 //   datagram instead of an N-1 unicast fan-out. A dedicated receive
-//   socket (bound to the shared `mcast_port`, loopback delivery enabled)
-//   joins groups on subscribe(); our own looped-back frames are dropped
-//   by source match. If the broadcast-group join fails at construction
+//   socket (bound to the fixed `kMcastPort` every station shares,
+//   loopback delivery enabled) joins groups on subscribe() and receives
+//   only the groups it joined; our own looped-back frames are dropped by
+//   source match, and frames of other clusters on the host as unknown
+//   peers. If the broadcast-group join fails at construction
 //   the runtime falls back to unicast fan-out — exactly FLIP's documented
 //   position that hardware multicast is an optimization over n
 //   point-to-point messages (Section 3.2).
@@ -32,7 +34,7 @@
 //     The one exception is deliberate: when tx_queue_ hits its
 //     high-watermark, the enqueuing context flushes inline while still
 //     holding mu_ — backpressure instead of unbounded memory
-//     (`tx_backpressure_waits` counts these stalls). sendmmsg needs no
+//     (`tx_queue_hwm_hits` counts these inline flushes). sendmmsg needs no
 //     lock of its own: the syscall is the only shared state.
 //   - The wake path is an eventfd (pipe fallback) with a pending-flag
 //     suppressor: back-to-back posts cost one syscall, not one each
@@ -100,9 +102,13 @@ struct UdpIoStats {
   std::atomic<std::uint64_t> wakes_suppressed{0};  // a wake was in flight
   std::atomic<std::uint64_t> wake_spurious{0};     // woke to no work
   // --- bounded tx queue ----------------------------------------------------
-  std::atomic<std::uint64_t> tx_queue_hwm_hits{0};  // enqueue at the limit
-  std::atomic<std::uint64_t> tx_backpressure_waits{0};  // inline flushes
+  std::atomic<std::uint64_t> tx_queue_hwm_hits{0};  // inline flushes
 };
+
+/// The UDP port every station's multicast receive socket binds. It is
+/// fixed, not configurable, so stations built with default options always
+/// hear each other's group datagrams.
+inline constexpr std::uint16_t kMcastPort = 26370;
 
 /// Construction-time knobs for the real-socket runtime. Defaults are the
 /// classic single-socket fan-out configuration used by the paper tables.
@@ -116,12 +122,8 @@ struct UdpOptions {
   /// enqueuing context flushes inline (backpressure) instead of growing
   /// the queue without bound while a peer stalls the flusher.
   std::size_t tx_queue_hwm = 8192;
-  /// Map mcast_keys onto kernel IP multicast groups.
+  /// Map mcast_keys onto kernel IP multicast groups (on kMcastPort).
   bool kernel_multicast = false;
-  /// Shared UDP port all stations' multicast receive sockets bind (must
-  /// agree across the station table). 0 = pick an ephemeral port at
-  /// construction; read it back with mcast_port() and pass it to peers.
-  std::uint16_t mcast_port = 0;
   /// Interface address used for multicast membership and egress. The
   /// default is the loopback interface (single-host benches); a bad
   /// address makes every join fail, which exercises the fan-out fallback.

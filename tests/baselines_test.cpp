@@ -2,7 +2,7 @@
 // positive-ack broadcast and its ack-implosion behaviour.
 #include <gtest/gtest.h>
 
-#include "chain.hpp"
+#include "common/chain.hpp"
 #include "baselines/chang_maxemchuk.hpp"
 #include "baselines/positive_ack.hpp"
 #include "sim/world.hpp"

@@ -6,7 +6,7 @@
 // not the third significant digit.
 #include <gtest/gtest.h>
 
-#include "chain.hpp"
+#include "common/chain.hpp"
 #include "common/stats.hpp"
 #include "group/sim_harness.hpp"
 

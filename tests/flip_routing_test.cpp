@@ -4,7 +4,7 @@
 // messages are routed appropriately", Section 4).
 #include <gtest/gtest.h>
 
-#include "chain.hpp"
+#include "common/chain.hpp"
 #include "flip/stack.hpp"
 #include "group/sim_harness.hpp"
 #include "sim/node.hpp"

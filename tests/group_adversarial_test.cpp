@@ -5,7 +5,7 @@
 #include <array>
 #include <cstdint>
 
-#include "chain.hpp"
+#include "common/chain.hpp"
 #include "group/sim_harness.hpp"
 
 namespace amoeba::group {

@@ -1,7 +1,7 @@
 // End-to-end smoke tests of the group protocol on the simulator.
 #include <gtest/gtest.h>
 
-#include "chain.hpp"
+#include "common/chain.hpp"
 #include "group/sim_harness.hpp"
 
 namespace amoeba::group {

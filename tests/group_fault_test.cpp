@@ -4,7 +4,7 @@
 // messages"), plus sequencer overload behaviour.
 #include <gtest/gtest.h>
 
-#include "chain.hpp"
+#include "common/chain.hpp"
 #include "group/sim_harness.hpp"
 
 namespace amoeba::group {

@@ -2,7 +2,7 @@
 // messages — the open problem Section 4 describes, solved.
 #include <gtest/gtest.h>
 
-#include "chain.hpp"
+#include "common/chain.hpp"
 #include "group/sim_harness.hpp"
 
 namespace amoeba::group {

@@ -3,7 +3,7 @@
 // departure.
 #include <gtest/gtest.h>
 
-#include "chain.hpp"
+#include "common/chain.hpp"
 #include "group/sim_harness.hpp"
 
 namespace amoeba::group {

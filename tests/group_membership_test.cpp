@@ -2,7 +2,7 @@
 // traffic and faults, snapshot loss, join retries, churn.
 #include <gtest/gtest.h>
 
-#include "chain.hpp"
+#include "common/chain.hpp"
 #include "group/sim_harness.hpp"
 
 namespace amoeba::group {

@@ -10,7 +10,7 @@
 // state transfer — works.
 #include <gtest/gtest.h>
 
-#include "chain.hpp"
+#include "common/chain.hpp"
 #include "group/sim_harness.hpp"
 #include "transport/sim_runtime.hpp"
 

@@ -15,7 +15,7 @@
 #include <map>
 #include <set>
 
-#include "chain.hpp"
+#include "common/chain.hpp"
 #include "group/sim_harness.hpp"
 
 namespace amoeba::group {

@@ -3,7 +3,7 @@
 // and the Section 2.1 delivery guarantees across recovery.
 #include <gtest/gtest.h>
 
-#include "chain.hpp"
+#include "common/chain.hpp"
 #include "group/sim_harness.hpp"
 
 namespace amoeba::group {

@@ -11,19 +11,14 @@
 #include <map>
 
 #include "check/trace.hpp"
-#include "group/sharded_harness.hpp"
+#include "sweep_steps.hpp"
 
 namespace amoeba::group {
 namespace {
 
 GroupConfig quick_cfg(std::uint32_t resilience = 0) {
-  GroupConfig cfg;
+  GroupConfig cfg = prop::sweep_config();
   cfg.resilience = resilience;
-  cfg.send_retry = Duration::millis(30);
-  cfg.nack_retry = Duration::millis(10);
-  cfg.join_retry = Duration::millis(50);
-  cfg.status_interval = Duration::millis(100);
-  cfg.invite_interval = Duration::millis(50);
   return cfg;
 }
 
@@ -35,8 +30,8 @@ Buffer tagged(std::uint8_t a, std::uint8_t b) {
 }
 
 TEST(Sharded, FormsAndDeliversSingleShardTraffic) {
-  ShardedHarness h(3, 2, quick_cfg());
-  ASSERT_TRUE(h.form());
+  SimGroupHarness h(3, 2, quick_cfg());
+  ASSERT_TRUE(h.form_group());
 
   int done = 0;
   std::vector<std::uint64_t> fps;
@@ -58,7 +53,7 @@ TEST(Sharded, FormsAndDeliversSingleShardTraffic) {
   // it was addressed to, all with xid 0 (no cross-shard machinery).
   for (std::size_t i = 0; i < 3; ++i) {
     std::map<std::uint64_t, int> seen;
-    for (const auto& d : h.process(i).delivered()) {
+    for (const auto& d : h.process(i).shard_deliveries()) {
       EXPECT_EQ(d.xid, 0u);
       ++seen[d.fp];
     }
@@ -70,7 +65,7 @@ TEST(Sharded, FormsAndDeliversSingleShardTraffic) {
 }
 
 TEST(Sharded, RouteIsDeterministicAndCoversShards) {
-  ShardedHarness h(2, 4, quick_cfg());
+  SimGroupHarness h(2, 4, quick_cfg());
   std::map<std::uint32_t, int> hits;
   for (int k = 0; k < 64; ++k) {
     Buffer key(4);
@@ -85,8 +80,8 @@ TEST(Sharded, RouteIsDeterministicAndCoversShards) {
 }
 
 TEST(Sharded, CrossShardDeliversExactlyOncePerShard) {
-  ShardedHarness h(3, 2, quick_cfg());
-  ASSERT_TRUE(h.form());
+  SimGroupHarness h(3, 2, quick_cfg());
+  ASSERT_TRUE(h.form_group());
 
   int done = 0;
   constexpr int kPerNode = 5;
@@ -107,7 +102,7 @@ TEST(Sharded, CrossShardDeliversExactlyOncePerShard) {
   // Exactly one delivery per (process, shard, xid), in both shards.
   for (std::size_t i = 0; i < 3; ++i) {
     std::map<std::pair<std::uint32_t, std::uint64_t>, int> seen;
-    for (const auto& d : h.process(i).delivered()) {
+    for (const auto& d : h.process(i).shard_deliveries()) {
       if (d.xid != 0) ++seen[{d.shard, d.xid}];  // skip membership entries
     }
     EXPECT_EQ(seen.size(), 2u * 15u) << "n" << i;
@@ -123,8 +118,8 @@ TEST(Sharded, CrossShardDeliversExactlyOncePerShard) {
 }
 
 TEST(Sharded, SingleBitMaskTakesThePlainPath) {
-  ShardedHarness h(2, 2, quick_cfg());
-  ASSERT_TRUE(h.form());
+  SimGroupHarness h(2, 2, quick_cfg());
+  ASSERT_TRUE(h.form_group());
   int done = 0;
   h.process(0).node().send_multi(0b10, tagged(1, 1), [&](Status st) {
     EXPECT_EQ(st, Status::ok);
@@ -135,7 +130,7 @@ TEST(Sharded, SingleBitMaskTakesThePlainPath) {
   // Degraded to send_to_shard: no cross-shard round, delivery has xid 0.
   EXPECT_EQ(h.process(0).node().stats().xsends.load(), 0u);
   bool delivered = false;
-  for (const auto& d : h.process(1).delivered()) {
+  for (const auto& d : h.process(1).shard_deliveries()) {
     if (d.shard == 1 && d.fp == check::fingerprint(tagged(1, 1))) {
       delivered = true;
       EXPECT_EQ(d.xid, 0u);
@@ -145,8 +140,8 @@ TEST(Sharded, SingleBitMaskTakesThePlainPath) {
 }
 
 TEST(Sharded, NonAddressedShardsDoZeroWork) {
-  ShardedHarness h(2, 4, quick_cfg());
-  ASSERT_TRUE(h.form());
+  SimGroupHarness h(2, 4, quick_cfg());
+  ASSERT_TRUE(h.form_group());
 
   int done = 0;
   for (int k = 0; k < 4; ++k) {
@@ -168,7 +163,7 @@ TEST(Sharded, NonAddressedShardsDoZeroWork) {
       EXPECT_EQ(st.xshard_commits.load(), 0u) << "n" << i << ".s" << s;
       EXPECT_EQ(st.xshard_injected.load(), 0u) << "n" << i << ".s" << s;
     }
-    for (const auto& d : h.process(i).delivered()) {
+    for (const auto& d : h.process(i).shard_deliveries()) {
       if (d.xid != 0) {
         EXPECT_LT(d.shard, 2u);
       }
@@ -182,8 +177,8 @@ TEST(Sharded, PerShardStatsAndTracesStayScoped) {
   // Two shards share one FLIP stack, executor, and fault device per
   // process; the per-shard GroupStats and trace streams must not bleed
   // into each other. All app traffic goes to shard 0 only.
-  ShardedHarness h(2, 2, quick_cfg());
-  ASSERT_TRUE(h.form());
+  SimGroupHarness h(2, 2, quick_cfg());
+  ASSERT_TRUE(h.form_group());
 
   int done = 0;
   for (std::size_t i = 0; i < 2; ++i) {
@@ -219,7 +214,7 @@ TEST(Sharded, PerShardStatsAndTracesStayScoped) {
   for (const check::RingTrace& r : h.traces().rings()) {
     for (std::size_t i = 0; i < 2; ++i) {
       for (std::uint32_t s = 0; s < 2; ++s) {
-        if (r.label != h.shard_label(i, s)) continue;
+        if (r.label != h.member_label(i, s)) continue;
         for (const check::TraceEvent& e : r.events) {
           EXPECT_EQ(e.group, s) << r.label;
           if (s == 0 && e.kind == check::EventKind::deliver &&
@@ -243,8 +238,8 @@ TEST(Sharded, PerShardStatsAndTracesStayScoped) {
 }
 
 TEST(Sharded, MixedLocalAndCrossTrafficStaysConsistent) {
-  ShardedHarness h(3, 2, quick_cfg(1));
-  ASSERT_TRUE(h.form());
+  SimGroupHarness h(3, 2, quick_cfg(1));
+  ASSERT_TRUE(h.form_group());
 
   int done = 0;
   int want = 0;
@@ -276,8 +271,8 @@ TEST(Sharded, CrossShardSurvivesSequencerStationCrash) {
   // Crashing station 0 kills shard 0's sequencer and a plain member of
   // shard 1. Survivors reset shard 0 and the cross-shard workload resumes
   // with the oracle still clean.
-  ShardedHarness h(3, 2, quick_cfg(1));
-  ASSERT_TRUE(h.form());
+  SimGroupHarness h(3, 2, quick_cfg(1));
+  ASSERT_TRUE(h.form_group());
 
   int done = 0;
   for (std::size_t i = 0; i < 3; ++i) {
@@ -287,31 +282,14 @@ TEST(Sharded, CrossShardSurvivesSequencerStationCrash) {
   }
   ASSERT_TRUE(h.run_until([&] { return done == 3; }, Duration::seconds(60)));
 
-  h.crash_node(0);
+  h.process(0).faults().crash();
 
-  // Probe shard 0 from node 1 until the dead sequencer is noticed.
-  bool probing = false;
-  auto probe = [&] {
-    if (probing || h.process(1).shard_fault(0).has_value()) return;
-    probing = true;
-    h.process(1).node().send_to_shard(0, tagged(9, 9),
-                                      [&](Status) { probing = false; });
+  // Probe shard 0 from node 1 until the dead sequencer is noticed, then
+  // reset it there.
+  const auto probe = [&h](GroupMember::StatusCb probe_done) {
+    h.process(1).node().send_to_shard(0, tagged(9, 9), std::move(probe_done));
   };
-  ASSERT_TRUE(h.run_until(
-      [&] {
-        if (!h.process(1).shard_fault(0).has_value()) probe();
-        return h.process(1).shard_fault(0).has_value();
-      },
-      Duration::seconds(60)));
-
-  bool reset_done = false;
-  Status reset_status = Status::ok;
-  h.process(1).node().shard(0)->reset_group(2, [&](Status s, std::uint32_t) {
-    reset_status = s;
-    reset_done = true;
-  });
-  ASSERT_TRUE(h.run_until([&] { return reset_done; }, Duration::seconds(60)));
-  ASSERT_EQ(reset_status, Status::ok);
+  ASSERT_EQ(prop::probe_then_reset(h, 1, 0, probe), "");
   ASSERT_TRUE(h.run_until(
       [&] {
         for (std::size_t i = 1; i < 3; ++i) {
@@ -347,7 +325,7 @@ TEST(Sharded, CrossShardSurvivesSequencerStationCrash) {
     for (std::uint32_t s = 0; s < 2; ++s) {
       if (h.process(i).node().shard(s)->state() ==
           GroupMember::State::running) {
-        opts.durable_rings.push_back(h.shard_label(i, s));
+        opts.durable_rings.push_back(h.member_label(i, s));
       }
     }
   }
@@ -357,7 +335,7 @@ TEST(Sharded, CrossShardSurvivesSequencerStationCrash) {
   // No survivor saw a duplicate xid despite retries across the reset.
   for (std::size_t i = 1; i < 3; ++i) {
     std::map<std::pair<std::uint32_t, std::uint64_t>, int> seen;
-    for (const auto& d : h.process(i).delivered()) {
+    for (const auto& d : h.process(i).shard_deliveries()) {
       if (d.xid != 0) ++seen[{d.shard, d.xid}];
     }
     for (const auto& [key, n] : seen) EXPECT_EQ(n, 1) << "n" << i;

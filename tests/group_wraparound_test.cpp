@@ -3,7 +3,7 @@
 // delivering in order, recovering losses, and rebuilding after crashes.
 #include <gtest/gtest.h>
 
-#include "chain.hpp"
+#include "common/chain.hpp"
 #include "group/sim_harness.hpp"
 
 namespace amoeba::group {

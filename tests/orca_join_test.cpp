@@ -4,7 +4,7 @@
 // stack).
 #include <gtest/gtest.h>
 
-#include "chain.hpp"
+#include "common/chain.hpp"
 #include "group/sim_harness.hpp"
 #include "group/state_transfer.hpp"
 #include "orca/objects.hpp"

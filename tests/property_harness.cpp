@@ -19,13 +19,6 @@
 namespace amoeba::group::prop {
 namespace {
 
-int env_count(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  const int n = std::atoi(v);
-  return n > 0 ? n : fallback;
-}
-
 std::vector<PropertyParams> sweep_params() {
   const int seeds = env_count("AMOEBA_PROPERTY_SEEDS", 6);
   // batch_count is a third sweep dimension: 1 (packing off), 4 (partial

@@ -21,20 +21,15 @@
 // needs r >= 1 (with r = 0 a message can die with the sequencer).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "check/oracle.hpp"
-#include "group/sim_harness.hpp"
+#include "sweep_steps.hpp"
 
 namespace amoeba::group::prop {
-
-using transport::NemesisEvent;
 
 struct PropertyParams {
   std::uint64_t seed{1};
@@ -90,15 +85,10 @@ inline PropertyOutcome run_property_case(const PropertyParams& p) {
   constexpr std::size_t kMembers = 4;
   const int sc = pick_scenario(p);
 
-  GroupConfig cfg;
+  GroupConfig cfg = sweep_config();
   cfg.resilience = p.resilience;
   cfg.method = p.method;
   cfg.batch_count = p.batch_count;
-  cfg.send_retry = Duration::millis(30);
-  cfg.nack_retry = Duration::millis(10);
-  cfg.join_retry = Duration::millis(50);
-  cfg.status_interval = Duration::millis(100);
-  cfg.invite_interval = Duration::millis(50);
 
   // AMOEBA_DURABILITY=1 re-runs the whole sweep with every member on a
   // durable log in group_commit mode: the protocol obligations must hold
@@ -127,16 +117,7 @@ inline PropertyOutcome run_property_case(const PropertyParams& p) {
   }
 
   // --- Nemesis schedule -----------------------------------------------------
-  NemesisEvent noisy;
-  noisy.kind = NemesisEvent::Kind::set_plan;
-  noisy.plan.drop = 0.05 + 0.03 * static_cast<double>(p.seed % 2);
-  noisy.plan.duplicate = 0.02;
-  noisy.plan.corrupt = 0.02;
-  noisy.plan.delay = 0.03;
-  NemesisEvent calm;
-  calm.kind = NemesisEvent::Kind::set_plan;  // default plan: no faults
-
-  std::vector<NemesisEvent> schedule{noisy};
+  std::vector<NemesisEvent> schedule{noise_event(p.seed)};
   if (sc == 1) {
     NemesisEvent cut;
     cut.at = Duration::millis(60);
@@ -151,137 +132,48 @@ inline PropertyOutcome run_property_case(const PropertyParams& p) {
     schedule.push_back(cut);
     schedule.push_back(heal);
   }
-  calm.at = Duration::millis(sc == 0 ? 400 : (sc == 1 ? 400 : 200));
-  schedule.push_back(calm);
-  for (std::size_t i = 0; i < h.size(); ++i) {
-    h.process(i).faults().set_schedule(schedule);
-    h.process(i).faults().start_nemesis();
-  }
-  // Crashes are scripted on the engine clock so they land at an exact
-  // virtual time regardless of frame activity.
+  schedule.push_back(calm_event(Duration::millis(sc <= 1 ? 400 : 200)));
+  start_nemesis(h, schedule);
+  const bool crash = sc == 2 || sc == 3;
   const std::size_t crash_victim = (sc == 2) ? 3u : 0u;
   const Time crash_at = h.engine().now() + Duration::millis(80);
-  if (sc == 2 || sc == 3) {
-    h.engine().schedule_at(crash_at, [&h, crash_victim] {
-      h.process(crash_victim).faults().crash();
-    });
-  }
+  if (crash) schedule_crash(h, crash_victim, crash_at);
 
   // --- Phase A workload: chained sends from every member --------------------
-  // Completions count terminally whatever the status — crashed / partitioned
-  // members legitimately fail their sends; the oracle's validity invariant
-  // separately pins every `ok` to a real self-delivery.
-  const int per_sender = (sc == 3) ? 2 : 4;
-  std::array<int, kMembers> terminal{};
-  std::function<void(std::size_t, int)> send_k = [&](std::size_t i, int k) {
-    if (k >= per_sender) return;
-    Buffer b(8);
-    b[0] = static_cast<std::uint8_t>(i);
-    b[1] = static_cast<std::uint8_t>(k);
-    b[2] = 0xA;  // phase tag
-    h.process(i).user_send(std::move(b), [&, i, k](Status) {
-      ++terminal[i];
-      send_k(i, k + 1);
-    });
-  };
-  for (std::size_t i = 0; i < kMembers; ++i) send_k(i, 0);
-
-  const auto phase_a_done = [&] {
-    for (std::size_t i = 0; i < kMembers; ++i) {
-      if (terminal[i] < per_sender) return false;
-    }
-    return true;
-  };
-  if (!h.run_until(phase_a_done, Duration::seconds(60))) {
+  if (!run_send_phase(h, {0, 1, 2, 3}, (sc == 3) ? 2 : 4,
+                      user_send_step(h, 0xA), Duration::seconds(60))) {
     out.report = "phase A stalled: " + describe(p, sc) + "\n" +
                  h.traces().dump_text(200);
     return out;
   }
 
   // --- Scenario 3: ResetGroup + a post-recovery send phase ------------------
-  bool probing = false;
   if (sc == 3) {
-    // Member 1 must notice the dead sequencer before it can reset; keep
-    // probing until its failure callback fires.
-    std::function<void()> probe = [&] {
-      if (h.process(1).fault().has_value() || probing) return;
-      probing = true;
+    const std::string err = probe_then_reset(h, 1, 0, [&h](auto done) {
       Buffer b(8);
       b[0] = 1;
       b[2] = 0xF;  // probe tag
-      h.process(1).user_send(std::move(b), [&](Status) {
-        probing = false;
-      });
-    };
-    if (!h.run_until(
-            [&] {
-              if (!h.process(1).fault().has_value()) probe();
-              return h.process(1).fault().has_value();
-            },
-            Duration::seconds(60))) {
-      out.report = "fault never observed: " + describe(p, sc);
-      return out;
-    }
-
-    bool reset_done = false;
-    Status reset_status = Status::ok;
-    h.process(1).member().reset_group(2, [&](Status s, std::uint32_t) {
-      reset_status = s;
-      reset_done = true;
+      h.process(1).user_send(std::move(b), std::move(done));
     });
-    if (!h.run_until([&] { return reset_done; }, Duration::seconds(60))) {
-      out.report = "ResetGroup stalled: " + describe(p, sc) + "\n" +
+    if (!err.empty()) {
+      out.reset_ok = false;
+      out.report = err + ": " + describe(p, sc) + "\n" +
                    h.traces().dump_text(200);
-      return out;
-    }
-    out.reset_ok = reset_status == Status::ok;
-    if (!out.reset_ok) {
-      out.report = "ResetGroup failed (" + std::string(to_string(reset_status)) +
-                   "): " + describe(p, sc);
       return out;
     }
 
     // Wait for every survivor to finish recovery, then phase B.
-    h.run_until(
-        [&] {
-          for (std::size_t i = 1; i < kMembers; ++i) {
-            if (h.process(i).member().state() != GroupMember::State::running) {
-              return false;
-            }
-          }
-          return true;
-        },
-        Duration::seconds(30));
-
-    std::array<int, kMembers> done_b{};
-    std::function<void(std::size_t, int)> send_b = [&](std::size_t i, int k) {
-      if (k >= 2) return;
-      Buffer b(8);
-      b[0] = static_cast<std::uint8_t>(i);
-      b[1] = static_cast<std::uint8_t>(k);
-      b[2] = 0xB;  // phase tag
-      h.process(i).user_send(std::move(b), [&, i, k](Status) {
-        ++done_b[i];
-        send_b(i, k + 1);
-      });
+    const auto running = [&h](std::size_t i) {
+      return h.process(i).member().state() == GroupMember::State::running;
     };
+    h.run_until([&] { return running(1) && running(2) && running(3); },
+                Duration::seconds(30));
+    std::vector<std::size_t> senders;
     for (std::size_t i = 1; i < kMembers; ++i) {
-      if (h.process(i).member().state() == GroupMember::State::running) {
-        send_b(i, 0);
-      }
+      if (running(i)) senders.push_back(i);
     }
-    if (!h.run_until(
-            [&] {
-              for (std::size_t i = 1; i < kMembers; ++i) {
-                if (h.process(i).member().state() ==
-                        GroupMember::State::running &&
-                    done_b[i] < 2) {
-                  return false;
-                }
-              }
-              return true;
-            },
-            Duration::seconds(60))) {
+    if (!run_send_phase(h, senders, 2, user_send_step(h, 0xB),
+                        Duration::seconds(60), running)) {
       out.report = "phase B stalled: " + describe(p, sc) + "\n" +
                    h.traces().dump_text(200);
       return out;
@@ -289,28 +181,18 @@ inline PropertyOutcome run_property_case(const PropertyParams& p) {
   }
 
   // --- Quiesce, then judge --------------------------------------------------
-  h.run_until([] { return false; }, Duration::millis(800));
+  quiesce(h);
 
   check::OracleOptions opts;
-  if (sc == 2 || sc == 3) {
-    // The crash only severs the NIC: the victim keeps executing locally
-    // and (as a partitioned sequencer) may expel the unreachable members
-    // and complete sends against its solo view. A real fail-stop station's
-    // post-crash actions are unobservable — truncate its ring at the crash
-    // instant; its pre-crash completions still bind the survivors.
-    opts.ring_cutoffs.emplace_back("m" + std::to_string(crash_victim),
-                                   crash_at);
-  }
-  for (std::size_t i = 0; i < kMembers; ++i) {
-    // A crashed station's member may never learn its NIC died (nothing
-    // left to send, so no timeout fires) and idles in `running` forever —
-    // exclude the victim explicitly, not just by final state.
-    if ((sc == 2 || sc == 3) && i == crash_victim) continue;
-    const bool running =
-        h.process(i).member().state() == GroupMember::State::running;
-    const bool durable = running && (sc != 3 || p.resilience >= 1);
-    if (durable) opts.durable_rings.push_back("m" + std::to_string(i));
-  }
+  if (crash) cut_rings_at_crash(opts, h, crash_victim, crash_at);
+  // After a sequencer crash the durability claim needs r >= 1 (with r = 0
+  // a message can die with the sequencer).
+  claim_durable_rings(opts, h,
+                      crash ? std::vector<std::size_t>{crash_victim}
+                            : std::vector<std::size_t>{},
+                      [&](std::uint32_t) {
+                        return sc == 3 && p.resilience < 1;
+                      });
   out.verdict = h.check_conformance(opts);
   if (!out.verdict.ok()) {
     out.report = "oracle violation: " + describe(p, sc) + "\n" +

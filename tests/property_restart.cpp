@@ -24,14 +24,11 @@
 // does NOT flag it.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdlib>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "check/oracle.hpp"
-#include "group/sim_harness.hpp"
+#include "sweep_steps.hpp"
 
 namespace amoeba::group::prop {
 namespace {
@@ -81,16 +78,11 @@ RestartOutcome run_restart_case(const RestartParams& p) {
   constexpr std::size_t kMembers = 4;
   const int sc = pick_restart_scenario(p);
 
-  GroupConfig cfg;
+  GroupConfig cfg = sweep_config();
   cfg.resilience = p.resilience;
   cfg.method = p.method;
   cfg.durability = p.durability;
   cfg.fsync_interval = Duration::millis(10);
-  cfg.send_retry = Duration::millis(30);
-  cfg.nack_retry = Duration::millis(10);
-  cfg.join_retry = Duration::millis(50);
-  cfg.status_interval = Duration::millis(100);
-  cfg.invite_interval = Duration::millis(50);
   // The failure detector only probes laggards under history pressure; a
   // small window makes post-crash traffic build that pressure quickly.
   cfg.history_size = 16;
@@ -117,28 +109,8 @@ RestartOutcome run_restart_case(const RestartParams& p) {
   };
 
   // --- Phase A: traffic from everyone ---------------------------------------
-  std::array<int, kMembers> terminal{};
-  std::function<void(std::size_t, int, int)> send_k = [&](std::size_t i,
-                                                          int k, int n) {
-    if (k >= n) return;
-    Buffer b(8);
-    b[0] = static_cast<std::uint8_t>(i);
-    b[1] = static_cast<std::uint8_t>(k);
-    b[2] = 0xA;
-    h.process(i).user_send(std::move(b), [&, i, k, n](Status) {
-      ++terminal[i];
-      send_k(i, k + 1, n);
-    });
-  };
-  for (std::size_t i = 0; i < kMembers; ++i) send_k(i, 0, 4);
-  if (!h.run_until(
-          [&] {
-            for (std::size_t i = 0; i < kMembers; ++i) {
-              if (terminal[i] < 4) return false;
-            }
-            return true;
-          },
-          Duration::seconds(60))) {
+  if (!run_send_phase(h, {0, 1, 2, 3}, 4, user_send_step(h, 0xA),
+                      Duration::seconds(60))) {
     return fail("phase A stalled");
   }
   // Let fsync timers / piggybacked horizons settle before the crash.
@@ -157,33 +129,12 @@ RestartOutcome run_restart_case(const RestartParams& p) {
   for (std::size_t v : victims) h.crash_process(v);
 
   if (sc == 2) {
-    // A survivor must notice before it can reset.
-    bool probing = false;
-    std::function<void()> probe = [&] {
-      if (h.process(1).fault().has_value() || probing) return;
-      probing = true;
+    const std::string err = probe_then_reset(h, 1, 0, [&h](auto done) {
       Buffer b(8);
       b[2] = 0xF;
-      h.process(1).user_send(std::move(b), [&](Status) { probing = false; });
-    };
-    if (!h.run_until(
-            [&] {
-              if (!h.process(1).fault().has_value()) probe();
-              return h.process(1).fault().has_value();
-            },
-            Duration::seconds(60))) {
-      return fail("sequencer fault never observed");
-    }
-    bool reset_done = false;
-    Status reset_status = Status::failure;
-    h.process(1).member().reset_group(2, [&](Status s, std::uint32_t) {
-      reset_status = s;
-      reset_done = true;
+      h.process(1).user_send(std::move(b), std::move(done));
     });
-    if (!h.run_until([&] { return reset_done; }, Duration::seconds(60)) ||
-        reset_status != Status::ok) {
-      return fail("ResetGroup failed");
-    }
+    if (!err.empty()) return fail(err);
   } else {
     // The survivors' failure detector expels the dead member(s) — but only
     // under history pressure, so keep the sequencer sending while waiting.
@@ -236,66 +187,35 @@ RestartOutcome run_restart_case(const RestartParams& p) {
   }
 
   // --- Phase B: traffic including the restarted members ---------------------
-  std::array<int, kMembers> done_b{};
-  std::function<void(std::size_t, int)> send_b = [&](std::size_t i, int k) {
-    if (k >= 3) return;
-    Buffer b(8);
-    b[0] = static_cast<std::uint8_t>(i);
-    b[1] = static_cast<std::uint8_t>(k);
-    b[2] = 0xB;
-    h.process(i).user_send(std::move(b), [&, i, k](Status) {
-      ++done_b[i];
-      send_b(i, k + 1);
-    });
+  const auto running = [&h](std::size_t i) {
+    return h.process(i).member().state() == GroupMember::State::running;
   };
+  std::vector<std::size_t> senders;
   for (std::size_t i = 0; i < kMembers; ++i) {
-    if (h.process(i).member().state() == GroupMember::State::running) {
-      send_b(i, 0);
-    }
+    if (running(i)) senders.push_back(i);
   }
-  if (!h.run_until(
-          [&] {
-            for (std::size_t i = 0; i < kMembers; ++i) {
-              if (h.process(i).member().state() ==
-                      GroupMember::State::running &&
-                  done_b[i] < 3) {
-                return false;
-              }
-            }
-            return true;
-          },
-          Duration::seconds(60))) {
+  if (!run_send_phase(h, senders, 3, user_send_step(h, 0xB),
+                      Duration::seconds(60), running)) {
     return fail("phase B stalled");
   }
 
   // --- Quiesce, then judge --------------------------------------------------
-  h.run_until([] { return false; }, Duration::millis(800));
+  quiesce(h);
 
   check::OracleOptions opts;
   opts.restart_pairs = pairs;
-  for (std::size_t i = 0; i < kMembers; ++i) {
-    // Durable-ring claims only for lives that span the whole run: a
-    // restarted member's post ring holds just the post-rejoin suffix.
-    bool crashed = false;
-    for (std::size_t v : victims) crashed = crashed || v == i;
-    if (crashed) continue;
-    if (h.process(i).member().state() != GroupMember::State::running) continue;
-    if (sc == 2 && p.resilience < 1) continue;  // seq crash can lose r=0 msgs
-    opts.durable_rings.push_back(h.label(i));
-  }
+  // Durable-ring claims only for lives that span the whole run: a
+  // restarted member's post ring holds just the post-rejoin suffix. A
+  // sequencer crash can lose messages with r = 0.
+  claim_durable_rings(opts, h, victims, [&](std::uint32_t) {
+    return sc == 2 && p.resilience < 1;
+  });
   out.verdict = h.check_conformance(opts);
   if (!out.verdict.ok()) {
     out.report = "oracle violation: " + describe(p, sc) + "\n" +
                  out.verdict.to_string() + h.traces().dump_text(400);
   }
   return out;
-}
-
-int env_count(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  const int n = std::atoi(v);
-  return n > 0 ? n : fallback;
 }
 
 std::vector<RestartParams> sweep_params() {

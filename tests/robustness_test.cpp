@@ -4,7 +4,7 @@
 // nonsense upward.
 #include <gtest/gtest.h>
 
-#include "chain.hpp"
+#include "common/chain.hpp"
 #include "common/rng.hpp"
 #include "flip/packet.hpp"
 #include "group/message.hpp"

@@ -21,20 +21,15 @@
 // relative-order for every cross-shard message.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "check/oracle.hpp"
-#include "group/sharded_harness.hpp"
+#include "sweep_steps.hpp"
 
 namespace amoeba::group::prop {
-
-using transport::NemesisEvent;
 
 struct ShardedParams {
   std::uint64_t seed{1};
@@ -95,53 +90,32 @@ inline ShardedOutcome run_sharded_case(const ShardedParams& p) {
   const int sc = pick_sharded_scenario(p);
   const std::uint32_t S = p.n_shards;
 
-  GroupConfig cfg;
+  GroupConfig cfg = sweep_config();
   cfg.resilience = p.resilience;
   cfg.method = p.method;
-  cfg.send_retry = Duration::millis(30);
-  cfg.nack_retry = Duration::millis(10);
-  cfg.join_retry = Duration::millis(50);
-  cfg.status_interval = Duration::millis(100);
-  cfg.invite_interval = Duration::millis(50);
 
-  ShardedHarness h(kProcs, S, cfg, Node::Config{},
-                   sim::CostModel::mc68030_ether10(), p.seed);
+  SimGroupHarness h(kProcs, S, cfg, Node::Config{},
+                    sim::CostModel::mc68030_ether10(), p.seed);
 
   ShardedOutcome out;
   out.scenario = sc;
-  out.formed = h.form();
+  out.formed = h.form_group();
   if (!out.formed) {
     out.report = "formation failed: " + describe(p, sc);
     return out;
   }
 
   // --- Nemesis schedule ---------------------------------------------------
-  NemesisEvent noisy;
-  noisy.kind = NemesisEvent::Kind::set_plan;
-  noisy.plan.drop = 0.05 + 0.03 * static_cast<double>(p.seed % 2);
-  noisy.plan.duplicate = 0.02;
-  noisy.plan.corrupt = 0.02;
-  noisy.plan.delay = 0.03;
-  NemesisEvent calm;
-  calm.kind = NemesisEvent::Kind::set_plan;  // default plan: no faults
-  calm.at = Duration::millis(sc == 0 ? 400 : 200);
-  const std::vector<NemesisEvent> schedule{noisy, calm};
-  for (std::size_t i = 0; i < h.size(); ++i) {
-    h.process(i).faults().set_schedule(schedule);
-    h.process(i).faults().start_nemesis();
-  }
+  start_nemesis(h, {noise_event(p.seed),
+                    calm_event(Duration::millis(sc == 0 ? 400 : 200))});
   const std::size_t victim = (sc == 1) ? 3u : 0u;
   const Time crash_at = h.engine().now() + Duration::millis(80);
-  if (sc != 0) {
-    h.engine().schedule_at(crash_at, [&h, victim] { h.crash_node(victim); });
-  }
+  if (sc != 0) schedule_crash(h, victim, crash_at);
 
   // --- Phase A: chained mixed workload from every process -----------------
-  // Completions count terminally whatever the status — a crashed origin
-  // legitimately fails or times out its rounds; the oracle's atomicity
-  // obligation anchors only on `ok`.
-  const int per_sender = (sc == 0) ? 4 : 3;
-  std::array<int, kProcs> terminal{};
+  // A crashed origin legitimately fails or times out its rounds; the
+  // oracle's atomicity obligation anchors only on `ok`.
+  //
   // The cross/local decision is deterministic, not Bernoulli: send number n
   // (counted round-robin across senders) is cross-shard when n crosses a
   // multiple of 100/mix. A sampled mix can legitimately produce zero
@@ -152,7 +126,7 @@ inline ShardedOutcome run_sharded_case(const ShardedParams& p) {
     return p.mix_pct > 0 && ((n + 1) * p.mix_pct) / 100 > (n * p.mix_pct) / 100;
   };
   auto one_send = [&](std::size_t i, int k, std::uint8_t phase, bool cross,
-                      const std::function<void(Status)>& cb) {
+                      GroupMember::StatusCb cb) {
     const std::uint64_t r = sharded_mix64(
         p.seed * std::uint64_t{1315423911} ^
         (static_cast<std::uint64_t>(i) + 1) * std::uint64_t{2654435761} ^
@@ -168,80 +142,47 @@ inline ShardedOutcome run_sharded_case(const ShardedParams& p) {
       const std::uint32_t b2 =
           (a + 1 + static_cast<std::uint32_t>(r >> 16) % (S - 1)) % S;
       h.process(i).node().send_multi((1u << a) | (1u << b2), std::move(b),
-                                     cb);
+                                     std::move(cb));
     } else {
       h.process(i).node().send_to_shard(static_cast<std::uint32_t>(r >> 8) % S,
-                                        std::move(b), cb);
+                                        std::move(b), std::move(cb));
     }
   };
-  std::function<void(std::size_t, int)> send_k = [&](std::size_t i, int k) {
-    if (k >= per_sender) return;
-    one_send(i, k, 0xA, is_cross(k * static_cast<int>(kProcs) + static_cast<int>(i)),
-             [&, i, k](Status) {
-               ++terminal[i];
-               send_k(i, k + 1);
-             });
+  const auto nth = [](std::size_t i, int k) {
+    return k * static_cast<int>(kProcs) + static_cast<int>(i);
   };
-  for (std::size_t i = 0; i < kProcs; ++i) send_k(i, 0);
-
-  const auto phase_a_done = [&] {
-    for (std::size_t i = 0; i < kProcs; ++i) {
-      if (terminal[i] < per_sender) return false;
-    }
-    return true;
-  };
-  if (!h.run_until(phase_a_done, Duration::seconds(120))) {
+  if (!run_send_phase(
+          h, {0, 1, 2, 3}, (sc == 0) ? 4 : 3,
+          [&](std::size_t i, int k, GroupMember::StatusCb done) {
+            one_send(i, k, 0xA, is_cross(nth(i, k)), std::move(done));
+          },
+          Duration::seconds(120))) {
     out.report = "phase A stalled: " + describe(p, sc) + "\n" +
                  h.traces().dump_text(200);
     return out;
   }
 
   // --- Crash scenarios: reset every orphaned shard, then phase B ----------
+  // A shard whose sequencer lived on the crashed station.
+  const auto orphaned = [&](std::uint32_t s) {
+    return sc != 0 && s % kProcs == victim;
+  };
   if (sc != 0) {
     const std::size_t survivor = (victim + 1) % kProcs;
     for (std::uint32_t s = 0; s < S; ++s) {
-      if (s % kProcs != victim) continue;  // sequencer lives on
-      // The survivor must notice the dead sequencer before it can reset;
-      // probe until its fault callback fires.
-      bool probing = false;
-      auto probe = [&] {
-        if (probing || h.process(survivor).shard_fault(s).has_value()) return;
-        probing = true;
-        Buffer b(8);
-        b[0] = static_cast<std::uint8_t>(survivor);
-        b[2] = 0xF;  // probe tag
-        h.process(survivor).node().send_to_shard(s, std::move(b),
-                                                 [&](Status) {
-                                                   probing = false;
-                                                 });
-      };
-      if (!h.run_until(
-              [&] {
-                if (!h.process(survivor).shard_fault(s).has_value()) probe();
-                return h.process(survivor).shard_fault(s).has_value();
-              },
-              Duration::seconds(60))) {
-        out.report = "fault never observed for shard " + std::to_string(s) +
-                     ": " + describe(p, sc);
-        return out;
-      }
-      bool reset_done = false;
-      Status reset_status = Status::ok;
-      h.process(survivor).node().shard(s)->reset_group(
-          2, [&](Status st, std::uint32_t) {
-            reset_status = st;
-            reset_done = true;
+      if (!orphaned(s)) continue;
+      const std::string err =
+          probe_then_reset(h, survivor, s, [&h, survivor, s](auto done) {
+            Buffer b(8);
+            b[0] = static_cast<std::uint8_t>(survivor);
+            b[2] = 0xF;  // probe tag
+            h.process(survivor).node().send_to_shard(s, std::move(b),
+                                                     std::move(done));
           });
-      if (!h.run_until([&] { return reset_done; }, Duration::seconds(60))) {
-        out.report = "ResetGroup stalled for shard " + std::to_string(s) +
-                     ": " + describe(p, sc) + "\n" + h.traces().dump_text(200);
-        return out;
-      }
-      out.reset_ok = reset_status == Status::ok;
-      if (!out.reset_ok) {
-        out.report = "ResetGroup failed (" +
-                     std::string(to_string(reset_status)) + ") for shard " +
-                     std::to_string(s) + ": " + describe(p, sc);
+      if (!err.empty()) {
+        out.reset_ok = false;
+        out.report = err + " for shard " + std::to_string(s) + ": " +
+                     describe(p, sc) + "\n" + h.traces().dump_text(200);
         return out;
       }
     }
@@ -251,7 +192,7 @@ inline ShardedOutcome run_sharded_case(const ShardedParams& p) {
           for (std::size_t i = 0; i < kProcs; ++i) {
             if (i == victim) continue;
             for (std::uint32_t s = 0; s < S; ++s) {
-              if (h.process(i).node().shard(s)->state() !=
+              if (h.process(i).member(s).state() !=
                   GroupMember::State::running) {
                 return false;
               }
@@ -261,30 +202,21 @@ inline ShardedOutcome run_sharded_case(const ShardedParams& p) {
         },
         Duration::seconds(30));
 
-    std::array<int, kProcs> done_b{};
-    std::function<void(std::size_t, int)> send_b = [&](std::size_t i, int k) {
-      if (k >= 2) return;
-      // With a nonzero mix, the designated survivor's first post-reset send
-      // is always cross-shard: a phase-A cross round addressed to an
-      // orphaned shard may legitimately time out, so this guarantees at
-      // least one cross-shard round runs against live sequencers.
-      const bool cross =
-          (p.mix_pct > 0 && k == 0 && i == survivor) ||
-          is_cross(k * static_cast<int>(kProcs) + static_cast<int>(i));
-      one_send(i, k, 0xB, cross, [&, i, k](Status) {
-        ++done_b[i];
-        send_b(i, k + 1);
-      });
-    };
+    std::vector<std::size_t> senders;
     for (std::size_t i = 0; i < kProcs; ++i) {
-      if (i != victim) send_b(i, 0);
+      if (i != victim) senders.push_back(i);
     }
-    if (!h.run_until(
-            [&] {
-              for (std::size_t i = 0; i < kProcs; ++i) {
-                if (i != victim && done_b[i] < 2) return false;
-              }
-              return true;
+    if (!run_send_phase(
+            h, senders, 2,
+            [&](std::size_t i, int k, GroupMember::StatusCb done) {
+              // With a nonzero mix, the designated survivor's first
+              // post-reset send is always cross-shard: a phase-A cross round
+              // addressed to an orphaned shard may legitimately time out, so
+              // this guarantees at least one cross-shard round runs against
+              // live sequencers.
+              const bool cross = (p.mix_pct > 0 && k == 0 && i == survivor) ||
+                                 is_cross(nth(i, k));
+              one_send(i, k, 0xB, cross, std::move(done));
             },
             Duration::seconds(120))) {
       out.report = "phase B stalled: " + describe(p, sc) + "\n" +
@@ -294,37 +226,18 @@ inline ShardedOutcome run_sharded_case(const ShardedParams& p) {
   }
 
   // --- Quiesce, then judge ------------------------------------------------
-  h.run_until([] { return false; }, Duration::millis(800));
+  quiesce(h);
 
   check::OracleOptions opts;
-  if (sc != 0) {
-    // The crash only severs the NIC; the victim's members keep executing,
-    // may expel everyone they can no longer hear and complete sends
-    // against the solo view. A real fail-stop station's post-crash actions
-    // are unobservable — truncate its rings at the crash instant (its
-    // pre-crash completions still bind the survivors).
-    opts.ring_cutoffs.emplace_back(h.node_label(victim), crash_at);
-    for (std::uint32_t s = 0; s < S; ++s) {
-      opts.ring_cutoffs.emplace_back(h.shard_label(victim, s), crash_at);
-    }
-  }
-  for (std::size_t i = 0; i < kProcs; ++i) {
-    // A crashed station's members may idle in `running` forever (nothing
-    // left to send, so no timeout fires) — exclude the victim explicitly.
-    if (sc != 0 && i == victim) continue;
-    for (std::uint32_t s = 0; s < S; ++s) {
-      if (h.process(i).node().shard(s)->state() !=
-          GroupMember::State::running) {
-        continue;
-      }
-      // Shard-level durability: a shard whose sequencer crashed can lose
-      // messages with r = 0 (the paper's claim needs r >= 1 there).
-      const bool seq_died = sc != 0 && s % kProcs == victim;
-      if (!seq_died || p.resilience >= 1) {
-        opts.durable_rings.push_back(h.shard_label(i, s));
-      }
-    }
-  }
+  if (sc != 0) cut_rings_at_crash(opts, h, victim, crash_at);
+  // Shard-level durability: an orphaned shard can lose messages with r = 0
+  // (the paper's claim needs r >= 1 there).
+  claim_durable_rings(opts, h,
+                      sc != 0 ? std::vector<std::size_t>{victim}
+                              : std::vector<std::size_t>{},
+                      [&](std::uint32_t s) {
+                        return orphaned(s) && p.resilience < 1;
+                      });
   out.verdict = h.check_conformance(opts);
   if (!out.verdict.ok()) {
     out.report = "oracle violation: " + describe(p, sc) + "\n" +

@@ -20,13 +20,6 @@
 namespace amoeba::group::prop {
 namespace {
 
-int env_count(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  const int n = std::atoi(v);
-  return n > 0 ? n : fallback;
-}
-
 std::vector<ShardedParams> sweep_params() {
   const int seeds = env_count("AMOEBA_PROPERTY_SEEDS", 3);
   constexpr int kMixes[] = {0, 10, 50};

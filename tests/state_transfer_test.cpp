@@ -3,7 +3,7 @@
 // updates in full flight during the join.
 #include <gtest/gtest.h>
 
-#include "chain.hpp"
+#include "common/chain.hpp"
 #include "group/sim_harness.hpp"
 #include "group/state_transfer.hpp"
 #include "rpc/rpc.hpp"
